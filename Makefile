@@ -114,7 +114,7 @@ pooltest:
 poolbench:
 	dune exec bench/main.exe -- pool
 
-# Incremental views + CDC: grammar/semantics on both back ends, the
+# Incremental views + CDC: grammar/semantics on the executor, the
 # incremental==renest property, definition-WAL durability, the forked
 # two-subscriber CDC stream test, and the maintenance crash windows.
 viewtest:

@@ -43,7 +43,7 @@ let scrape_cost n =
   let per_scrape = (Unix.gettimeofday () -. t0) /. float_of_int timed in
   (h, Hist.History.series_count h, per_scrape)
 
-(* SELECT over _metrics through the physical back end's system-scan
+(* SELECT over _metrics through the executor's system-scan
    path, against the steady-state history built above. *)
 let query_latency h =
   let db = Nfql.Physical.create () in

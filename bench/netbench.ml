@@ -106,7 +106,7 @@ let run ?(conns = 8) ?(ops = 2000) ?(seed = 1983) () =
   Array.iter Server.Client.close clients;
   let _, status = Unix.waitpid [] server_pid in
   let samples = !latencies in
-  let q p = Server.Metrics.quantile samples p in
+  let q p = Obs.Registry.quantile samples p in
   Format.printf
     "ops=%d conns=%d elapsed=%.3fs throughput=%.0f op/s errors=%d@." ops conns
     elapsed

@@ -705,7 +705,7 @@ let x3_access_paths () =
     "@.Equality and CONTAINS hit the inverted index; bounded comparisons on\n\
      the ordered attribute use the B+-tree (one-sided bounds walk an\n\
      open-ended leaf range); everything else scans. All paths return the\n\
-     same rows as the in-memory evaluator (test_physical.ml).@."
+     same rows as the reference evaluator (test_physical.ml).@."
 
 (* ------------------------------------------------------------------ *)
 (* E9b: search space per operator                                      *)

@@ -399,14 +399,6 @@ let split_load_spec spec =
   | Some i ->
     (String.sub spec 0 i, String.sub spec (i + 1) (String.length spec - i - 1))
 
-(* A database front end the sql/repl commands can drive uniformly:
-   the in-memory evaluator or the storage-engine executor. *)
-type sql_backend = {
-  load_table : string -> Relation.t -> unit;
-  run : string -> (unit, string) result;
-  in_txn : unit -> bool;
-}
-
 let guard_nfql run source =
   match run source with
   | () -> Ok ()
@@ -417,55 +409,27 @@ let guard_nfql run source =
   | exception Nfql.Lexer.Lex_error (msg, offset) ->
     Error (Printf.sprintf "lex error at offset %d: %s" offset msg)
 
-let logical_backend () =
-  let db = Nfql.Eval.create () in
-  {
-    load_table =
-      (fun name flat ->
-        let order = Schema.attributes (Relation.schema flat) in
-        Nfql.Eval.define db name ~order (Nest.canonical flat order));
-    run =
-      guard_nfql (fun source ->
-          List.iter
-            (fun result -> Format.printf "%a@." Nfql.Eval.pp_result result)
-            (Nfql.Eval.exec_string db source));
-    in_txn = (fun () -> Nfql.Eval.in_txn db);
-  }
-
-let physical_backend () =
+(* The sql/repl database: WAL-less storage tables loaded from the CSV
+   specs, run by the executor, which prints each statement's result
+   and its access costs. *)
+let open_db loads =
   let db = Nfql.Physical.create () in
-  {
-    load_table =
-      (fun name flat ->
-        let order = Schema.attributes (Relation.schema flat) in
-        Nfql.Physical.add_table db name (Storage.Table.load ~order flat));
-    run =
-      guard_nfql (fun source ->
-          List.iter
-            (fun (result, stats) ->
-              Format.printf "%a@.-- cost: %a@." Nfql.Eval.pp_result result
-                Storage.Stats.pp stats)
-            (Nfql.Physical.exec_string db source));
-    in_txn =
-      (fun () -> Nfql.Physical.in_txn (Nfql.Physical.default_session db));
-  }
-
-let physical_arg =
-  Arg.(
-    value & flag
-    & info [ "physical" ]
-        ~doc:"Run against the storage engine (heap/index/B+-tree) and print \
-              per-statement access costs; EXPLAIN ANALYZE additionally breaks \
-              a SELECT down per operator")
-
-let make_backend physical loads =
-  let backend = if physical then physical_backend () else logical_backend () in
   List.iter
     (fun spec ->
       let name, path = split_load_spec spec in
-      backend.load_table name (or_die (load_relation path)))
+      let flat = or_die (load_relation path) in
+      let order = Schema.attributes (Relation.schema flat) in
+      Nfql.Physical.add_table db name (Storage.Table.load ~order flat))
     loads;
-  backend
+  db
+
+let run_nfql db =
+  guard_nfql (fun source ->
+      List.iter
+        (fun (result, stats) ->
+          Format.printf "%a@.-- cost: %a@." Nfql.Eval.pp_result result
+            Storage.Stats.pp stats)
+        (Nfql.Physical.exec_string db source))
 
 let txn_arg =
   Arg.(
@@ -480,16 +444,16 @@ let txn_arg =
    up front, and settle it according to how the body went. A script
    that COMMITs or ROLLBACKs explicitly has already settled — the
    in_txn probe keeps us from double-closing. *)
-let txn_begin backend =
-  match backend.run "begin" with
+let txn_begin db =
+  match run_nfql db "begin" with
   | Ok () -> ()
   | Error msg -> or_die (Error msg)
 
-let txn_settle backend ~failed =
-  if backend.in_txn () then
-    if failed then ignore (backend.run "rollback")
+let txn_settle db ~failed =
+  if Nfql.Physical.in_txn (Nfql.Physical.default_session db) then
+    if failed then ignore (run_nfql db "rollback")
     else
-      match backend.run "commit" with
+      match run_nfql db "commit" with
       | Ok () -> ()
       | Error msg -> or_die (Error msg)
 
@@ -507,8 +471,8 @@ let sql_cmd =
       & opt (some file) None
       & info [ "script" ] ~docv:"FILE" ~doc:"Run the NFQL script in FILE")
   in
-  let run loads script script_file physical txn =
-    let backend = make_backend physical loads in
+  let run loads script script_file txn =
+    let db = open_db loads in
     let source =
       match (script, script_file) with
       | Some text, _ -> text
@@ -517,30 +481,28 @@ let sql_cmd =
         with Sys_error msg -> or_die (Error msg))
       | None, None -> In_channel.input_all In_channel.stdin
     in
-    if txn then txn_begin backend;
+    if txn then txn_begin db;
     (* Batch mode: any failed statement must make the run exit
        non-zero — scripts drive CI and cron jobs, where a printed
        error with exit 0 is a silent failure. Under --txn the failure
        also rolls the whole script back first. *)
-    match backend.run source with
-    | Ok () -> if txn then txn_settle backend ~failed:false
+    match run_nfql db source with
+    | Ok () -> if txn then txn_settle db ~failed:false
     | Error msg ->
-      if txn then txn_settle backend ~failed:true;
+      if txn then txn_settle db ~failed:true;
       or_die (Error msg)
   in
   Cmd.v
     (Cmd.info "sql" ~doc:"Run an NFQL script against loaded CSV tables")
-    Term.(
-      const run $ load_spec_arg $ exec_arg $ script_arg $ physical_arg
-      $ txn_arg)
+    Term.(const run $ load_spec_arg $ exec_arg $ script_arg $ txn_arg)
 
 let repl_cmd =
-  let run loads physical txn =
-    let backend = make_backend physical loads in
+  let run loads txn =
+    let db = open_db loads in
     let interactive = Unix.isatty Unix.stdin in
     if interactive then
       Format.printf "nfr_cli repl — NFQL statements; ctrl-d to quit@.";
-    if txn then txn_begin backend;
+    if txn then txn_begin db;
     let failures = ref 0 in
     let rec loop () =
       if interactive then Format.printf "nfql> @?";
@@ -548,7 +510,7 @@ let repl_cmd =
       | None -> if interactive then Format.printf "bye@."
       | Some line when String.trim line = "" -> loop ()
       | Some line ->
-        (match backend.run line with
+        (match run_nfql db line with
         | Ok () -> ()
         | Error msg ->
           incr failures;
@@ -556,13 +518,13 @@ let repl_cmd =
           (* Piped --txn is an all-or-nothing script: the first
              failure rolls everything back and stops reading. *)
           if txn && not interactive then begin
-            txn_settle backend ~failed:true;
+            txn_settle db ~failed:true;
             or_die (Error msg)
           end);
         loop ()
     in
     loop ();
-    if txn then txn_settle backend ~failed:(!failures > 0);
+    if txn then txn_settle db ~failed:(!failures > 0);
     (* Piped-script (file) mode must not swallow failures into exit 0;
        interactively, errors were already shown and handled. *)
     if (not interactive) && !failures > 0 then
@@ -571,7 +533,7 @@ let repl_cmd =
   in
   Cmd.v
     (Cmd.info "repl" ~doc:"Interactive NFQL shell")
-    Term.(const run $ load_spec_arg $ physical_arg $ txn_arg)
+    Term.(const run $ load_spec_arg $ txn_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve / connect                                                     *)
@@ -798,7 +760,7 @@ let serve_cmd =
     in
     let loop =
       try
-        Server.Loop.create ~config ~metrics:Server.Metrics.global ~on_shutdown
+        Server.Loop.create ~config ~metrics:Obs.Registry.global ~on_shutdown
           ~db ~listen:(`Port port) ()
       with Unix.Unix_error (err, _, _) ->
         or_die
@@ -1096,14 +1058,7 @@ let trace_cmd =
       & info [ "json" ] ~doc:"Emit the spans as JSON lines instead of a tree")
   in
   let run loads script json =
-    let db = Nfql.Physical.create () in
-    List.iter
-      (fun spec ->
-        let name, path = split_load_spec spec in
-        let flat = or_die (load_relation path) in
-        let order = Schema.attributes (Relation.schema flat) in
-        Nfql.Physical.add_table db name (Storage.Table.load ~order flat))
-      loads;
+    let db = open_db loads in
     let source =
       match script with
       | Some text -> text

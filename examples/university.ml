@@ -69,23 +69,25 @@ let () =
     stats.Update.compositions stats.Update.decompositions Nfr.pp_table r2_after;
 
   (* The same flow through NFQL. *)
-  let db = Nfql.Eval.create () in
+  let db = Nfql.Physical.create () in
   ignore
-    (Nfql.Eval.exec_string db
+    (Nfql.Physical.exec_string db
        "create table sc (Student string, Course string, Semester string);\n\
         insert into sc values ('s1','c1','t1'),('s2','c1','t1'),('s3','c1','t1'),\n\
         ('s1','c2','t1'),('s2','c2','t1'),('s3','c2','t1'),\n\
         ('s1','c3','t1'),('s3','c3','t1'),('s2','c3','t2');\n\
         delete from sc values ('s1','c1','t1');");
-  (match Nfql.Eval.exec_string db "show sc" with
-  | [ Nfql.Eval.Rows rows ] ->
+  (match Nfql.Physical.exec_string db "show sc" with
+  | [ (Nfql.Eval.Rows rows, _) ] ->
     Format.printf "The same deletion through NFQL:@.%a@.@." Nfr.pp_table rows;
     assert (Nfr.equal rows r2_after)
   | _ -> assert false);
 
   (* Who takes course c3? Tuple-level containment query. *)
-  (match Nfql.Eval.exec_string db "select * from sc where Course CONTAINS 'c3'" with
-  | [ Nfql.Eval.Rows rows ] ->
+  (match
+     Nfql.Physical.exec_string db "select * from sc where Course CONTAINS 'c3'"
+   with
+  | [ (Nfql.Eval.Rows rows, _) ] ->
     Format.printf "NFQL: select * from sc where Course CONTAINS 'c3':@.%a@."
       Nfr.pp_table rows
   | _ -> assert false)

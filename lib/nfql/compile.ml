@@ -16,6 +16,34 @@ let attribute_of schema name =
   if Schema.mem schema attribute then attribute
   else error "unknown column %s" name
 
+let tuple_of_row schema row =
+  if List.length row <> Schema.degree schema then
+    error "expected %d values, got %d" (Schema.degree schema) (List.length row);
+  match Tuple.make schema (List.map value_of_literal row) with
+  | tuple -> tuple
+  | exception Schema.Schema_error msg -> error "%s" msg
+
+let table_of_columns columns order =
+  let type_of_name name =
+    match Value.ty_of_name (String.lowercase_ascii name) with
+    | Some ty -> ty
+    | None -> error "unknown type %s" name
+  in
+  let schema =
+    match
+      Schema.of_names (List.map (fun (name, ty) -> (name, type_of_name ty)) columns)
+    with
+    | schema -> schema
+    | exception Schema.Schema_error msg -> error "%s" msg
+  in
+  match order with
+  | None -> (schema, Schema.attributes schema)
+  | Some names -> (
+    let attrs = List.map (attribute_of schema) names in
+    match Nest.check_permutation schema attrs with
+    | () -> (schema, attrs)
+    | exception Invalid_argument msg -> error "%s" msg)
+
 let comparison_of = function
   | Ast.C_eq -> Predicate.Eq
   | Ast.C_neq -> Predicate.Neq
@@ -49,6 +77,23 @@ let rec split_condition schema condition =
     (predicates_a @ predicates_b, contains_a @ contains_b)
   | Ast.Compare _ | Ast.Or _ | Ast.Not _ ->
     ([ predicate_of schema condition ], [])
+
+let matching_tuples nfr condition =
+  let predicates, contains = split_condition (Nfr.schema nfr) condition in
+  let restricted =
+    List.fold_left
+      (fun nfr (attribute, value) -> Nalgebra.select_contains attribute value nfr)
+      nfr contains
+  in
+  let selected =
+    List.fold_left
+      (fun flat predicate ->
+        match Algebra.select predicate flat with
+        | selected -> selected
+        | exception Algebra.Algebra_error msg -> error "%s" msg)
+      (Nfr.flatten restricted) predicates
+  in
+  Relation.tuples selected
 
 let apply_where schema order nfr = function
   | None -> nfr

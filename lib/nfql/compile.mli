@@ -1,9 +1,9 @@
-(** Shared compilation helpers for NFQL back ends.
+(** Shared compilation helpers for NFQL.
 
-    Both evaluators — {!Eval} (in-memory canonical NFRs) and
-    {!Physical} (storage-engine tables) — resolve names, convert
-    literals, split WHERE clauses and shape SELECT results the same
-    way; this module is that common ground. *)
+    The executor ({!Physical}, over storage-engine tables) and the
+    reference evaluator ({!Eval}, over plain canonical NFRs) resolve
+    names, convert literals, split WHERE clauses and shape SELECT
+    results the same way; this module is that common ground. *)
 
 open Relational
 open Nfr_core
@@ -20,6 +20,16 @@ val value_of_literal : Ast.literal -> Value.t
 val attribute_of : Schema.t -> string -> Attribute.t
 (** @raise Error when the column is unknown. *)
 
+val tuple_of_row : Schema.t -> Ast.literal list -> Tuple.t
+(** An INSERT/DELETE row as a flat tuple.
+    @raise Error on an arity or type mismatch. *)
+
+val table_of_columns :
+  (string * string) list -> string list option -> Schema.t * Attribute.t list
+(** A CREATE TABLE's schema and nest order (schema order when none is
+    given). @raise Error on unknown types or columns, or an order that
+    does not permute the schema. *)
+
 val predicate_of : Schema.t -> Ast.condition -> Predicate.t
 (** Pure-comparison conditions only.
     @raise Error when a [CONTAINS] appears below OR/NOT. *)
@@ -29,6 +39,11 @@ val split_condition :
 (** Top-level conjuncts, split into expansion-level predicates and
     tuple-level CONTAINS constraints. @raise Error on misplaced
     [CONTAINS]. *)
+
+val matching_tuples : Nfr.t -> Ast.condition -> Tuple.t list
+(** The flat facts of a canonical NFR a DML WHERE selects, by
+    definition: CONTAINS restricts whole NFR tuples, then every
+    comparison selects over the expansion [R*]. *)
 
 val apply_where :
   Schema.t -> Attribute.t list -> Nfr.t -> Ast.condition option -> Nfr.t

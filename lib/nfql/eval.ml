@@ -12,493 +12,152 @@ type table_state = {
   order : Attribute.t list;
 }
 
-type db = {
-  mutable tables : table_state String_map.t;
-  (* The tables map as it stood at BEGIN: the whole transaction story
-     of this back end. NFRs are persistent values, so saving the map is
-     an O(1) snapshot, rollback is a pointer swap, and commit just
-     forgets the save point. *)
-  mutable txn_saved : table_state String_map.t option;
-  views : Views.Catalog.t;
-  (* Committed base-table writes a transaction has buffered for view
-     maintenance: views only ever absorb deltas at commit points, so
-     autocommit DML applies immediately while in-txn DML queues here
-     (oldest first) until COMMIT — and is simply discarded on
-     ROLLBACK. *)
-  mutable txn_pending : (string * Views.Catalog.op) list;
-  (* Read-only system tables (_metrics, _slow_queries, ...) resolved
-     through per-db providers; see {!Systab}. *)
-  sys : Systab.registry;
-}
+type db = { mutable tables : table_state String_map.t }
 
 type result =
   | Done of string
   | Rows of Nfr.t
 
-let create () =
-  {
-    tables = String_map.empty;
-    txn_saved = None;
-    views = Views.Catalog.create ();
-    txn_pending = [];
-    sys = Systab.create ();
-  }
-
-let register_system_table db name provider = Systab.register db.sys name provider
-let system_table_names db = Systab.names db.sys
-let is_system db name = Systab.find db.sys name <> None
-
-let in_txn db = db.txn_saved <> None
-let catalog db = db.views
-let is_view db name = Views.Catalog.mem db.views name
+let create () = { tables = String_map.empty }
 
 let find_table db name =
   match String_map.find_opt name db.tables with
   | Some state -> state
   | None -> error "unknown table %s" name
 
-(* Reads treat a view or a system table as a table: resolve the name
-   against base tables first, then the materialized view catalog, then
-   the system-table providers. *)
-let find_readable db name =
-  match String_map.find_opt name db.tables with
-  | Some state -> (state.nfr, state.order)
-  | None ->
-    if is_view db name then
-      (Views.Catalog.snapshot db.views name, Views.Catalog.order db.views name)
-    else (
-      match Systab.find db.sys name with
-      | Some provider ->
-        let order, nfr = provider () in
-        (nfr, order)
-      | None -> error "unknown table %s" name)
-
-(* The typed write guard: DML must name a base table, never a view or
-   a system table. *)
-let require_writable db name =
-  if is_view db name then error "%s is a view: views are read-only" name;
-  if is_system db name then error "%s" (Systab.read_only_error name)
-
-let apply_committed db base ops =
-  ignore
-    (Views.Catalog.apply db.views ~base
-       ~base_nfr:(lazy (find_table db base).nfr)
-       ops)
-
-let note_dml db base ops =
-  if ops <> [] then begin
-    if in_txn db then db.txn_pending <- db.txn_pending @ List.map (fun op -> (base, op)) ops
-    else apply_committed db base ops
-  end
-
-(* COMMIT is the views' commit point: fold the buffered writes into
-   every dependent view, one delta group per base table. *)
-let flush_pending db =
-  let pending = db.txn_pending in
-  db.txn_pending <- [];
-  let bases =
-    List.rev
-      (List.fold_left
-         (fun acc (base, _) -> if List.mem base acc then acc else base :: acc)
-         [] pending)
-  in
-  if List.length bases > 1 then
-    Obs.Registry.incr Obs.Registry.global "txn.multi_table_commit";
-  List.iter
-    (fun base ->
-      apply_committed db base
-        (List.filter_map
-           (fun (b, op) -> if b = base then Some op else None)
-           pending))
-    bases
-
-let value_of_literal = Compile.value_of_literal
-let attribute_of = Compile.attribute_of
-
-
-let split_condition = Compile.split_condition
-
-let type_of_name name =
-  match Value.ty_of_name (String.lowercase_ascii name) with
-  | Some ty -> ty
-  | None -> error "unknown type %s" name
-
-let tuple_of_row schema row =
-  if List.length row <> Schema.degree schema then
-    error "expected %d values, got %d" (Schema.degree schema) (List.length row);
-  match Tuple.make schema (List.map value_of_literal row) with
-  | tuple -> tuple
-  | exception Schema.Schema_error msg -> error "%s" msg
-
-let require_no_txn db what =
-  if db.txn_saved <> None then error "%s is not allowed inside a transaction" what
+let set_nfr db name state nfr =
+  db.tables <- String_map.add name { state with nfr } db.tables
 
 let exec_create db table columns order =
-  require_no_txn db "CREATE TABLE";
-  if Systab.is_system_name table then error "%s" (Systab.reserved_error table);
   if String_map.mem table db.tables then error "table %s already exists" table;
-  if is_view db table then error "view %s already exists" table;
-  let schema =
-    match Schema.of_names (List.map (fun (name, ty) -> (name, type_of_name ty)) columns) with
-    | schema -> schema
-    | exception Schema.Schema_error msg -> error "%s" msg
-  in
-  let order_attrs =
-    match order with
-    | None -> Schema.attributes schema
-    | Some names ->
-      let attrs = List.map (attribute_of schema) names in
-      (match Nest.check_permutation schema attrs with
-      | () -> attrs
-      | exception Invalid_argument msg -> error "%s" msg)
-  in
-  db.tables <-
-    String_map.add table { nfr = Nfr.empty schema; order = order_attrs } db.tables;
+  let schema, order = Compile.table_of_columns columns order in
+  db.tables <- String_map.add table { nfr = Nfr.empty schema; order } db.tables;
   Done (Printf.sprintf "table %s created" table)
 
 let exec_insert db table rows =
-  require_writable db table;
   let state = find_table db table in
   let schema = Nfr.schema state.nfr in
-  let inserted, skipped, ops =
+  let nfr, skipped =
     List.fold_left
-      (fun (nfr, skipped, ops) row ->
-        let tuple = tuple_of_row schema row in
-        if Nfr.member_tuple nfr tuple then (nfr, skipped + 1, ops)
-        else
-          ( Update.insert ~order:state.order nfr tuple,
-            skipped,
-            Views.Catalog.Ins tuple :: ops ))
-      (state.nfr, 0, []) rows
+      (fun (nfr, skipped) row ->
+        let tuple = Compile.tuple_of_row schema row in
+        if Nfr.member_tuple nfr tuple then (nfr, skipped + 1)
+        else (Update.insert ~order:state.order nfr tuple, skipped))
+      (state.nfr, 0) rows
   in
-  db.tables <- String_map.add table { state with nfr = inserted } db.tables;
-  note_dml db table (List.rev ops);
+  set_nfr db table state nfr;
   Done
     (Printf.sprintf "%d row(s) inserted%s" (List.length rows - skipped)
        (if skipped > 0 then Printf.sprintf ", %d duplicate(s) skipped" skipped
         else ""))
 
 let exec_delete_values db table row =
-  require_writable db table;
   let state = find_table db table in
-  let schema = Nfr.schema state.nfr in
-  let tuple = tuple_of_row schema row in
+  let tuple = Compile.tuple_of_row (Nfr.schema state.nfr) row in
   match Update.delete ~order:state.order state.nfr tuple with
   | nfr ->
-    db.tables <- String_map.add table { state with nfr } db.tables;
-    note_dml db table [ Views.Catalog.Del tuple ];
+    set_nfr db table state nfr;
     Done "1 row deleted"
   | exception Update.Not_in_relation ->
     error "tuple %s is not in %s" (Format.asprintf "%a" Tuple.pp tuple) table
 
-let matching_tuples schema nfr condition =
-  let predicates, contains = split_condition schema condition in
-  let restricted =
-    List.fold_left
-      (fun nfr (attribute, value) -> Nalgebra.select_contains attribute value nfr)
-      nfr contains
-  in
-  let flat = Nfr.flatten restricted in
+let delete_all state tuples =
   List.fold_left
-    (fun flat predicate ->
-      match Algebra.select predicate flat with
-      | selected -> selected
-      | exception Algebra.Algebra_error msg -> error "%s" msg)
-    flat predicates
+    (fun nfr tuple -> Update.delete ~order:state.order nfr tuple)
+    state.nfr tuples
 
 let exec_delete_where db table condition =
-  require_writable db table;
   let state = find_table db table in
-  let schema = Nfr.schema state.nfr in
-  let victims = Relation.tuples (matching_tuples schema state.nfr condition) in
-  let nfr =
-    List.fold_left
-      (fun nfr tuple -> Update.delete ~order:state.order nfr tuple)
-      state.nfr victims
-  in
-  db.tables <- String_map.add table { state with nfr } db.tables;
-  note_dml db table (List.map (fun t -> Views.Catalog.Del t) victims);
+  let victims = Compile.matching_tuples state.nfr condition in
+  set_nfr db table state (delete_all state victims);
   Done (Printf.sprintf "%d row(s) deleted" (List.length victims))
 
-(* Resolve a FROM clause to an NFR plus a canonical order for it. A
-   join is computed directly on the NFRs (pairwise component
-   intersection) and re-canonicalized so the WHERE machinery's
-   canonicity assumption holds. *)
-let resolve_source db = function
-  | Ast.From_table name -> find_readable db name
-  | Ast.From_join (left_name, right_name) ->
-    if is_view db left_name || is_view db right_name then
-      error "views cannot appear in JOIN";
-    if is_system db left_name || is_system db right_name then
-      error "system tables cannot appear in JOIN";
-    let left = find_table db left_name in
-    let right = find_table db right_name in
-    let joined =
-      match Nalgebra.natural_join left.nfr right.nfr with
-      | joined -> joined
-      | exception Schema.Schema_error msg -> error "%s" msg
-    in
-    let order = Schema.attributes (Nfr.schema joined) in
-    (Nest.canonicalize joined order, order)
-
-let apply_where = Compile.apply_where
-
-let exec_select db (s : Ast.select) =
-  let source, order = resolve_source db s.source in
-  let schema = Nfr.schema source in
-  let filtered = apply_where schema order source s.where in
-  Rows (Compile.shape_select filtered ~order s)
-
-let exec_select_count db source condition =
-  let nfr, order = resolve_source db source in
-  let filtered = apply_where (Nfr.schema nfr) order nfr condition in
-  Done
-    (Printf.sprintf "%d fact(s) in %d NFR tuple(s)"
-       (Nfr.expansion_size filtered) (Nfr.cardinality filtered))
-
+(* Delete every victim first, then insert the images: set semantics
+   deduplicates images that collide with surviving tuples. *)
 let exec_update_set db table assignments condition =
-  require_writable db table;
   let state = find_table db table in
   let schema = Nfr.schema state.nfr in
   let resolved =
     List.map
       (fun (name, literal) ->
-        let attribute = attribute_of schema name in
-        let value = value_of_literal literal in
+        let attribute = Compile.attribute_of schema name in
+        let value = Compile.value_of_literal literal in
         let expected = Schema.type_of_attribute schema attribute in
         if Value.type_of value <> expected then
           error "column %s expects %s" name (Value.ty_name expected);
         (attribute, value))
       assignments
   in
-  let victims = Relation.tuples (matching_tuples schema state.nfr condition) in
-  let updated_tuples =
-    List.map
-      (fun tuple ->
-        List.fold_left
-          (fun tuple (attribute, value) ->
-            Tuple.set_field schema tuple attribute value)
-          tuple resolved)
-      victims
-  in
-  (* Delete every victim first, then insert the images (set semantics
-     deduplicates images that collide with surviving tuples). *)
-  let without =
+  let victims = Compile.matching_tuples state.nfr condition in
+  let image tuple =
     List.fold_left
-      (fun nfr tuple -> Update.delete ~order:state.order nfr tuple)
-      state.nfr victims
+      (fun tuple (attribute, value) -> Tuple.set_field schema tuple attribute value)
+      tuple resolved
   in
-  let final =
+  let nfr =
     List.fold_left
-      (fun nfr tuple -> Update.insert ~order:state.order nfr tuple)
-      without updated_tuples
+      (fun nfr tuple -> Update.insert ~order:state.order nfr (image tuple))
+      (delete_all state victims) victims
   in
-  db.tables <- String_map.add table { state with nfr = final } db.tables;
-  (* Views see only the net writes: identity images are no-ops. *)
-  let changed =
-    List.filter
-      (fun (victim, image) -> not (Tuple.equal victim image))
-      (List.combine victims updated_tuples)
-  in
-  note_dml db table
-    (List.map (fun (victim, _) -> Views.Catalog.Del victim) changed
-    @ List.map (fun (_, image) -> Views.Catalog.Ins image) changed);
+  set_nfr db table state nfr;
   Done (Printf.sprintf "%d row(s) updated" (List.length victims))
 
-let exec_explain db (s : Ast.select) =
-  let source, order = resolve_source db s.source in
-  let schema = Nfr.schema source in
-  let buffer = Buffer.create 128 in
-  let line fmt = Printf.ksprintf (fun msg -> Buffer.add_string buffer (msg ^ "\n")) fmt in
-  line "plan:";
-  (match s.source with
+(* A FROM clause as an NFR plus a canonical order for it. A join is the
+   pairwise component intersection of the two NFRs, re-canonicalized so
+   the WHERE machinery's canonicity assumption holds. *)
+let resolve_source db = function
   | Ast.From_table name ->
-    line "  scan %s (canonical, order %s, %d NFR tuples)" name
-      (String.concat "," (List.map Attribute.name order))
-      (Nfr.cardinality source)
-  | Ast.From_join (l, r) ->
-    line "  join %s %s (pairwise component intersection, re-canonicalized)" l r);
-  (match s.where with
-  | None -> ()
-  | Some condition ->
-    let predicates, contains = split_condition schema condition in
-    List.iter
-      (fun (attribute, value) ->
-        line "  contains-filter %s ∋ %s (tuple-level, no expansion)"
-          (Attribute.name attribute) (Value.to_string value))
-      contains;
-    List.iter
-      (fun predicate ->
-        if Nalgebra.componentwise_selectable predicate then
-          line "  select %s (componentwise, no expansion)"
-            (Format.asprintf "%a" Predicate.pp predicate)
-        else
-          line "  select %s (correlated: per-tuple expansion)"
-            (Format.asprintf "%a" Predicate.pp predicate))
-      predicates);
-  (match s.columns with
-  | None -> ()
-  | Some names -> line "  project %s (re-canonicalized)" (String.concat "," names));
-  List.iter (fun name -> line "  nest %s" name) s.nests;
-  List.iter (fun name -> line "  unnest %s" name) s.unnests;
-  Done (String.trim (Buffer.contents buffer))
+    let state = find_table db name in
+    (state.nfr, state.order)
+  | Ast.From_join (left, right) ->
+    let joined =
+      match
+        Nalgebra.natural_join (find_table db left).nfr (find_table db right).nfr
+      with
+      | joined -> joined
+      | exception Schema.Schema_error msg -> error "%s" msg
+    in
+    let order = Schema.attributes (Nfr.schema joined) in
+    (Nest.canonicalize joined order, order)
 
-(* TRACE surface: one row per span of the statement's trace, in ring
-   order (parents before children) so clients can rebuild the tree. *)
-let trace_schema =
-  Schema.of_names
-    [
-      ("Span", Value.Tint);
-      ("Parent", Value.Tint);
-      ("Event", Value.Tstring);
-      ("Label", Value.Tstring);
-      ("Ms", Value.Tfloat);
-      ("Rows", Value.Tint);
-      ("Bytes", Value.Tint);
-    ]
+let filtered_source db source condition =
+  let nfr, order = resolve_source db source in
+  (Compile.apply_where (Nfr.schema nfr) order nfr condition, order)
 
-let rows_of_spans spans =
-  List.fold_left
-    (fun acc (sp : Obs.Span.t) ->
-      let cells =
-        [|
-          Vset.singleton (Value.of_int sp.Obs.Span.id);
-          Vset.singleton (Value.of_int sp.Obs.Span.parent);
-          Vset.singleton (Value.of_string (Obs.Span.event_name sp.Obs.Span.event));
-          Vset.singleton (Value.of_string sp.Obs.Span.label);
-          Vset.singleton (Value.of_float (Obs.Span.busy sp *. 1000.));
-          Vset.singleton (Value.of_int sp.Obs.Span.rows);
-          Vset.singleton (Value.of_int sp.Obs.Span.bytes);
-        |]
-      in
-      Nfr.add acc (Ntuple.of_sets_unchecked cells))
-    (Nfr.empty trace_schema) spans
-
-let rec exec db statement =
+let exec db statement =
   match statement with
   | Ast.Create (table, columns, order) -> exec_create db table columns order
   | Ast.Drop table ->
-    require_no_txn db "DROP TABLE";
-    if is_system db table then error "%s" (Systab.read_only_error table);
-    if is_view db table then error "%s is a view: use DROP VIEW" table;
-    if String_map.mem table db.tables then begin
-      (match Views.Catalog.dependents db.views ~base:table with
-      | [] -> ()
-      | deps ->
-        error "cannot drop table %s: view %s depends on it" table
-          (String.concat ", " deps));
-      db.tables <- String_map.remove table db.tables;
-      Done (Printf.sprintf "table %s dropped" table)
-    end
-    else error "unknown table %s" table
-  | Ast.Create_view (view, base, by) -> (
-    require_no_txn db "CREATE VIEW";
-    if Systab.is_system_name view then error "%s" (Systab.reserved_error view);
-    if String_map.mem view db.tables then error "table %s already exists" view;
-    if is_view db base then
-      error "%s is a view: views must be defined over base tables" base;
-    if is_system db base then
-      error "%s is a system table: views must be defined over base tables" base;
-    let state = find_table db base in
-    match Views.Catalog.define db.views ~view ~base ~by state.nfr with
-    | () -> Done (Printf.sprintf "view %s created" view)
-    | exception Views.Catalog.View_error msg -> error "%s" msg)
-  | Ast.Drop_view view -> (
-    require_no_txn db "DROP VIEW";
-    match Views.Catalog.drop db.views view with
-    | () -> Done (Printf.sprintf "view %s dropped" view)
-    | exception Views.Catalog.View_error msg -> error "%s" msg)
+    ignore (find_table db table);
+    db.tables <- String_map.remove table db.tables;
+    Done (Printf.sprintf "table %s dropped" table)
   | Ast.Insert (table, rows) -> exec_insert db table rows
   | Ast.Delete_values (table, row) -> exec_delete_values db table row
   | Ast.Delete_where (table, condition) -> exec_delete_where db table condition
   | Ast.Update_set (table, assignments, condition) ->
     exec_update_set db table assignments condition
-  | Ast.Select s -> exec_select db s
-  | Ast.Select_count (source, condition) -> exec_select_count db source condition
-  | Ast.Explain s -> exec_explain db s
-  | Ast.Explain_analyze s ->
-    (* The logical back end has no physical operators to meter; report
-       the plan annotated with the select's actual output size. The
-       physical back end ({!Physical}) renders per-operator counters. *)
-    let plan =
-      match exec_explain db s with
-      | Done text -> text
-      | Rows _ -> assert false
-    in
-    (match exec_select db s with
-    | Rows rows ->
-      Done
-        (Printf.sprintf "%s\n  actual: %d fact(s) in %d NFR tuple(s)" plan
-           (Nfr.expansion_size rows) (Nfr.cardinality rows))
-    | Done _ -> assert false)
-  | Ast.Analyze name ->
-    (* The logical back end has no planner to feed, but it still
-       collects and reports the same statistics so the differential
-       suite can compare the text verbatim with {!Physical}. *)
-    if is_view db name then
-      error "cannot ANALYZE view %s: statistics are collected on base tables"
-        name;
-    if is_system db name then
-      error "cannot ANALYZE system table %s: statistics are collected on base tables"
-        name;
-    let state = find_table db name in
-    Done (Tablestats.summary name (Tablestats.collect state.nfr))
-  | Ast.Trace inner ->
-    (* Run the statement under a trace scope (reusing an ambient one if
-       the server already opened it) and return its spans as rows. *)
-    let run () = ignore (exec db inner) in
-    let trace =
-      match Obs.Span.current_trace () with
-      | Some trace ->
-        run ();
-        trace
-      | None ->
-        Obs.Span.in_trace (fun trace ->
-            run ();
-            trace)
-    in
-    Rows (rows_of_spans (Obs.Span.spans_of_trace trace))
-  | Ast.Show table -> Rows (fst (find_readable db table))
-  | Ast.History (series, last) -> (
-    match Systab.history_result db.sys ~series ~last with
-    | Ok rows -> Rows rows
-    | Error msg -> error "%s" msg)
-  | Ast.Begin -> (
-    match db.txn_saved with
-    | Some _ -> error "a transaction is already open"
-    | None ->
-      db.txn_saved <- Some db.tables;
-      db.txn_pending <- [];
-      Done "transaction open")
-  | Ast.Commit -> (
-    match db.txn_saved with
-    | None -> error "no transaction is open"
-    | Some _ ->
-      db.txn_saved <- None;
-      flush_pending db;
-      Done "transaction committed")
-  | Ast.Rollback -> (
-    match db.txn_saved with
-    | None -> error "no transaction is open"
-    | Some saved ->
-      db.tables <- saved;
-      db.txn_saved <- None;
-      db.txn_pending <- [];
-      Done "transaction rolled back")
+  | Ast.Select s ->
+    let filtered, order = filtered_source db s.Ast.source s.Ast.where in
+    Rows (Compile.shape_select filtered ~order s)
+  | Ast.Select_count (source, condition) ->
+    let filtered, _ = filtered_source db source condition in
+    Done
+      (Printf.sprintf "%d fact(s) in %d NFR tuple(s)"
+         (Nfr.expansion_size filtered) (Nfr.cardinality filtered))
+  | Ast.Show table -> Rows (find_table db table).nfr
+  | Ast.Create_view _ | Ast.Drop_view _ | Ast.Explain _ | Ast.Explain_analyze _
+  | Ast.Analyze _ | Ast.Trace _ | Ast.History _ | Ast.Begin | Ast.Commit
+  | Ast.Rollback ->
+    error "%s is not supported by the reference evaluator"
+      (String.uppercase_ascii (Ast.statement_verb statement))
 
-let exec_string db input =
-  List.map (exec db) (Parser.parse_script input)
+let exec_string db input = List.map (exec db) (Parser.parse_script input)
 
 let table db name =
   Option.map (fun state -> state.nfr) (String_map.find_opt name db.tables)
 
 let table_order db name =
   Option.map (fun state -> state.order) (String_map.find_opt name db.tables)
-
-let define db name ~order nfr =
-  if not (Nest.is_canonical nfr order) then
-    error "NFR for %s is not canonical for the given order" name;
-  db.tables <- String_map.add name { nfr; order } db.tables
 
 let pp_result ppf = function
   | Done msg -> Format.pp_print_string ppf msg

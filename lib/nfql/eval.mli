@@ -1,9 +1,12 @@
-(** NFQL evaluation against an in-memory database of canonical NFRs.
+(** The reference evaluator: NFQL's paper semantics over plain canonical
+    NFRs, kept as the oracle the differential tests compare the executor
+    ({!Physical}) against. It is not a back end: nothing outside the
+    tests serves statements with it.
 
     Each table carries a nest application order fixed at CREATE time
-    (default: schema order); INSERT and DELETE maintain the canonical
-    form through {!Nfr_core.Update}, so every statement leaves every
-    table canonical — the paper's realization discipline.
+    (default: schema order); INSERT, DELETE and UPDATE maintain the
+    canonical form through {!Nfr_core.Update}, so every statement leaves
+    every table canonical — the paper's realization discipline.
 
     WHERE semantics: plain comparisons select over the {e expansion}
     ([R*]); [CONTAINS] selects whole NFR tuples by component
@@ -11,11 +14,12 @@
     [CONTAINS] under OR/NOT is rejected (its tuple-level meaning does
     not distribute over expansion selection).
 
-    Transactions: [BEGIN] snapshots the (persistent) tables map,
-    [ROLLBACK] restores it, [COMMIT] forgets the save point. This back
-    end is single-session, so there is nothing to conflict with — the
-    snapshot-isolation story lives in {!Physical}. DDL ([CREATE]/
-    [DROP]) is rejected inside a transaction, matching {!Physical}. *)
+    Supported: CREATE/DROP TABLE, INSERT, DELETE, UPDATE, SELECT (with
+    CONTAINS, JOIN, NEST and UNNEST), SELECT COUNT and SHOW. Every other
+    statement raises {!Eval_error}.
+
+    {!result} and {!Eval_error} are also the executor's result and
+    error types. *)
 
 open Relational
 open Nfr_core
@@ -30,41 +34,16 @@ type result =
 
 val create : unit -> db
 
-val in_txn : db -> bool
-(** Is a transaction open? *)
-
 val exec : db -> Ast.statement -> result
 (** @raise Eval_error on unknown tables/columns, type mismatches,
-    deleting absent tuples, or unsupported CONTAINS placement. *)
+    deleting absent tuples, unsupported CONTAINS placement, or a
+    statement outside the supported subset. *)
 
 val exec_string : db -> string -> result list
 (** Parse and run a whole script.
     @raise Eval_error, [Parser.Parse_error] or [Lexer.Lex_error]. *)
 
 val table : db -> string -> Nfr.t option
-(** Direct table access for tests and the CLI. *)
-
-val catalog : db -> Views.Catalog.t
-(** The database's view catalog (incrementally maintained canonical
-    NFRs). Views absorb committed DML only: autocommit writes
-    immediately, in-transaction writes at COMMIT, never from the
-    uncommitted overlay. *)
-
 val table_order : db -> string -> Attribute.t list option
-
-val register_system_table : db -> string -> Systab.provider -> unit
-(** Install (or replace) a read-only system-table provider; see
-    {!Systab}. @raise Invalid_argument unless the name starts with
-    ['_']. *)
-
-val system_table_names : db -> string list
-
-val define : db -> string -> order:Attribute.t list -> Nfr.t -> unit
-(** Install an externally built NFR as a table (CLI loading path).
-    @raise Eval_error if the NFR is not canonical for [order]. *)
-
-val rows_of_spans : Obs.Span.t list -> Nfr.t
-(** The TRACE result surface: one row per span — (Span, Parent, Event,
-    Label, Ms, Rows, Bytes) — shared by both back ends. *)
 
 val pp_result : Format.formatter -> result -> unit

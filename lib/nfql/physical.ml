@@ -928,7 +928,7 @@ let one_tuple schema nt = Nfr.add (Nfr.empty schema) nt
    inverted index with every value of the probe attribute, then join
    the fetched candidates directly (pairwise component intersection),
    always in (left, right) orientation so the result schema matches
-   the logical evaluator's. A [jp_probe = None] path is a block nested
+   the reference evaluator's. A [jp_probe = None] path is a block nested
    loop (inner side buffered once) — a Cartesian product. Distinct
    probe values of one outer tuple can fetch the same inner tuple
    twice; a per-outer-tuple set keyed on structural {!Ntuple} equality
@@ -1354,91 +1354,154 @@ let sys_snapshot db name =
   | Some provider -> snd (provider ())
   | None -> error "unknown table %s" name
 
-let explain_sys_text db (s : Ast.select) name =
-  let nfr = sys_snapshot db name in
+(* Plan text shared by every source: the access lines, then the WHERE
+   clause — the residual filter as written, followed by one line per
+   top-level conjunct saying how the paper's semantics evaluate it
+   (tuple-level CONTAINS, componentwise or correlated selection) — and
+   the result shaping. *)
+let plan_text schema (s : Ast.select) access =
   let buffer = Buffer.create 128 in
   let line fmt =
     Printf.ksprintf (fun msg -> Buffer.add_string buffer (msg ^ "\n")) fmt
   in
   line "physical plan:";
-  line "  access: system scan %s (provider-backed NFR, %d NFR tuples)" name
-    (Nfr.cardinality nfr);
+  List.iter (line "  %s") access;
   (match s.Ast.where with
   | None -> ()
   | Some condition ->
-    line "  residual filter: %s" (Format.asprintf "%a" Ast.pp_condition condition));
+    line "  residual filter: %s" (Format.asprintf "%a" Ast.pp_condition condition);
+    let predicates, contains = Compile.split_condition schema condition in
+    List.iter
+      (fun (attribute, value) ->
+        line "    contains-filter %s ∋ %s (tuple-level, no expansion)"
+          (Attribute.name attribute) (Value.to_string value))
+      contains;
+    List.iter
+      (fun predicate ->
+        line "    select %s (%s)"
+          (Format.asprintf "%a" Predicate.pp predicate)
+          (if Nalgebra.componentwise_selectable predicate then
+             "componentwise, no expansion"
+           else "correlated: per-tuple expansion"))
+      predicates);
   (match s.Ast.columns with
   | None -> ()
   | Some names -> line "  project %s" (String.concat "," names));
+  List.iter (line "  nest %s") s.Ast.nests;
+  List.iter (line "  unnest %s") s.Ast.unnests;
   String.trim (Buffer.contents buffer)
 
-let explain_view_text db (s : Ast.select) name =
-  let nfr = Views.Catalog.snapshot db.views name in
-  let buffer = Buffer.create 128 in
-  let line fmt =
-    Printf.ksprintf (fun msg -> Buffer.add_string buffer (msg ^ "\n")) fmt
-  in
-  line "physical plan:";
-  line "  access: view scan %s (materialized canonical NFR, %d NFR tuples)"
-    name (Nfr.cardinality nfr);
-  (match s.Ast.where with
-  | None -> ()
-  | Some condition ->
-    line "  residual filter: %s" (Format.asprintf "%a" Ast.pp_condition condition));
-  (match s.Ast.columns with
-  | None -> ()
-  | Some names -> line "  project %s" (String.concat "," names));
-  String.trim (Buffer.contents buffer)
+let source_schema db = function
+  | Ast.From_table name -> Storage.Table.schema (find_table db name)
+  | Ast.From_join (left, right) ->
+    Schema.union
+      (Storage.Table.schema (find_table db left))
+      (Storage.Table.schema (find_table db right))
 
 let explain_text db (s : Ast.select) =
   match view_in_source db s.Ast.source with
-  | Some name -> explain_view_text db s name
-  | None ->
-  match sys_in_source db s.Ast.source with
-  | Some name -> explain_sys_text db s name
-  | None ->
-  let p = plan db s in
-  let buffer = Buffer.create 128 in
-  let line fmt =
-    Printf.ksprintf (fun msg -> Buffer.add_string buffer (msg ^ "\n")) fmt
-  in
-  line "physical plan:";
-  line "  access: %s" (path_text p.plan_path);
-  line "  est rows: %.1f%s" p.plan_rows
-    (if p.plan_from_stats then "" else " (no statistics; run ANALYZE)");
-  if p.plan_candidates <> [] then begin
-    line "  candidates:";
-    List.iter
-      (fun c ->
-        line "    %-52s cost %10.1f  est rows %10.1f%s" (path_text c.cand_path)
-          c.cand_cost c.cand_rows
-          (if c.cand_path = p.plan_path then "  (chosen)" else ""))
-      p.plan_candidates
-  end;
-  (match s.Ast.where with
-  | None -> ()
-  | Some condition ->
-    line "  residual filter: %s" (Format.asprintf "%a" Ast.pp_condition condition));
-  (match s.Ast.columns with
-  | None -> ()
-  | Some names -> line "  project %s" (String.concat "," names));
-  String.trim (Buffer.contents buffer)
+  | Some name ->
+    let nfr = Views.Catalog.snapshot db.views name in
+    plan_text (Nfr.schema nfr) s
+      [
+        Printf.sprintf
+          "access: view scan %s (materialized canonical NFR, %d NFR tuples)"
+          name (Nfr.cardinality nfr);
+      ]
+  | None -> (
+    match sys_in_source db s.Ast.source with
+    | Some name ->
+      let nfr = sys_snapshot db name in
+      plan_text (Nfr.schema nfr) s
+        [
+          Printf.sprintf
+            "access: system scan %s (provider-backed NFR, %d NFR tuples)" name
+            (Nfr.cardinality nfr);
+        ]
+    | None ->
+      let p = plan db s in
+      let candidates =
+        List.map
+          (fun c ->
+            Printf.sprintf "  %-52s cost %10.1f  est rows %10.1f%s"
+              (path_text c.cand_path) c.cand_cost c.cand_rows
+              (if c.cand_path = p.plan_path then "  (chosen)" else ""))
+          p.plan_candidates
+      in
+      plan_text (source_schema db s.Ast.source) s
+        ([
+           "access: " ^ path_text p.plan_path;
+           Printf.sprintf "est rows: %.1f%s" p.plan_rows
+             (if p.plan_from_stats then "" else " (no statistics; run ANALYZE)");
+         ]
+        @ if candidates = [] then [] else "candidates:" :: candidates))
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let tuple_of_row schema row =
-  if List.length row <> Schema.degree schema then
-    error "expected %d values, got %d" (Schema.degree schema) (List.length row);
-  match Tuple.make schema (List.map Compile.value_of_literal row) with
-  | tuple -> tuple
-  | exception Schema.Schema_error msg -> error "%s" msg
+let count_done nfr =
+  Eval.Done
+    (Printf.sprintf "%d fact(s) in %d NFR tuple(s)" (Nfr.expansion_size nfr)
+       (Nfr.cardinality nfr))
 
-let type_of_name name =
-  match Value.ty_of_name (String.lowercase_ascii name) with
-  | Some ty -> ty
-  | None -> error "unknown type %s" name
+(* TRACE surface: one row per span of the statement's trace, in ring
+   order (parents before children) so clients can rebuild the tree. *)
+let trace_schema =
+  Schema.of_names
+    [
+      ("Span", Value.Tint);
+      ("Parent", Value.Tint);
+      ("Event", Value.Tstring);
+      ("Label", Value.Tstring);
+      ("Ms", Value.Tfloat);
+      ("Rows", Value.Tint);
+      ("Bytes", Value.Tint);
+    ]
+
+let rows_of_spans spans =
+  List.fold_left
+    (fun acc (sp : Obs.Span.t) ->
+      let cells =
+        [|
+          Vset.singleton (Value.of_int sp.Obs.Span.id);
+          Vset.singleton (Value.of_int sp.Obs.Span.parent);
+          Vset.singleton (Value.of_string (Obs.Span.event_name sp.Obs.Span.event));
+          Vset.singleton (Value.of_string sp.Obs.Span.label);
+          Vset.singleton (Value.of_float (Obs.Span.busy sp *. 1000.));
+          Vset.singleton (Value.of_int sp.Obs.Span.rows);
+          Vset.singleton (Value.of_int sp.Obs.Span.bytes);
+        |]
+      in
+      Nfr.add acc (Ntuple.of_sets_unchecked cells))
+    (Nfr.empty trace_schema) spans
+
+let exec_analyze db name =
+  if is_view db name then
+    error "cannot ANALYZE view %s: statistics are collected on base tables" name;
+  if is_system db name then
+    error
+      "cannot ANALYZE system table %s: statistics are collected on base tables"
+      name;
+  let collected = collect_stats (find_entry db name) in
+  bump_generation db;
+  Obs.Registry.incr (registry ()) "planner.analyze";
+  Eval.Done (Tablestats.summary name collected)
+
+(* Run [run] under a trace scope — reusing the server's ambient one
+   when present — and return the trace's spans as rows. *)
+let traced_rows run =
+  let trace =
+    match Obs.Span.current_trace () with
+    | Some trace ->
+      run ();
+      trace
+    | None ->
+      Obs.Span.in_trace (fun trace ->
+          run ();
+          trace)
+  in
+  Eval.Rows (rows_of_spans (Obs.Span.spans_of_trace trace))
 
 (* ------------------------------------------------------------------ *)
 (* Transactions: buffered optimistic snapshot isolation                *)
@@ -1477,23 +1540,10 @@ let txn_write_count txn =
     (fun _ tt acc -> acc + List.length tt.tx_ops)
     txn.touched 0
 
-(* Victim search against the overlay rides the logical path — the
+(* Victim search against the overlay runs on the in-memory NFR — the
    physical operators read heap records, which an uncommitted txn does
    not have. *)
-let txn_matching tt condition =
-  let predicates, contains = Compile.split_condition tt.tx_schema condition in
-  let restricted =
-    List.fold_left
-      (fun nfr (attribute, value) -> Nalgebra.select_contains attribute value nfr)
-      tt.tx_nfr contains
-  in
-  let flat = Nfr.flatten restricted in
-  List.fold_left
-    (fun flat predicate ->
-      match Algebra.select predicate flat with
-      | selected -> selected
-      | exception Algebra.Algebra_error msg -> error "%s" msg)
-    flat predicates
+let txn_matching tt condition = Compile.matching_tuples tt.tx_nfr condition
 
 let txn_do_insert tt tuple =
   if Nfr.member_tuple tt.tx_nfr tuple then false
@@ -1724,7 +1774,8 @@ let rec exec_txn session txn stats statement =
     let inserted =
       List.fold_left
         (fun count row ->
-          if txn_do_insert tt (tuple_of_row tt.tx_schema row) then count + 1
+          if txn_do_insert tt (Compile.tuple_of_row tt.tx_schema row) then
+            count + 1
           else count)
         0 rows
     in
@@ -1732,7 +1783,7 @@ let rec exec_txn session txn stats statement =
   | Ast.Delete_values (name, row) ->
     require_writable db name;
     let tt = txn_touch db txn name in
-    let tuple = tuple_of_row tt.tx_schema row in
+    let tuple = Compile.tuple_of_row tt.tx_schema row in
     (match txn_do_delete tt tuple with
     | () -> Eval.Done "1 row deleted"
     | exception Update.Not_in_relation ->
@@ -1740,7 +1791,7 @@ let rec exec_txn session txn stats statement =
   | Ast.Delete_where (name, condition) ->
     require_writable db name;
     let tt = txn_touch db txn name in
-    let victims = Relation.tuples (txn_matching tt condition) in
+    let victims = txn_matching tt condition in
     List.iter (fun tuple -> txn_do_delete tt tuple) victims;
     Eval.Done (Printf.sprintf "%d row(s) deleted" (List.length victims))
   | Ast.Update_set (name, assignments, condition) ->
@@ -1753,7 +1804,7 @@ let rec exec_txn session txn stats statement =
             Compile.value_of_literal literal ))
         assignments
     in
-    let victims = Relation.tuples (txn_matching tt condition) in
+    let victims = txn_matching tt condition in
     List.iter
       (fun victim ->
         let image =
@@ -1777,9 +1828,7 @@ let rec exec_txn session txn stats statement =
   | Ast.Select_count (source, condition) ->
     let nfr, order = txn_resolve_source db txn source in
     let filtered = Compile.apply_where (Nfr.schema nfr) order nfr condition in
-    Eval.Done
-      (Printf.sprintf "%d fact(s) in %d NFR tuple(s)"
-         (Nfr.expansion_size filtered) (Nfr.cardinality filtered))
+    count_done filtered
   | Ast.Explain s -> Eval.Done (explain_text db s)
   | Ast.Explain_analyze _ ->
     error
@@ -1792,31 +1841,9 @@ let rec exec_txn session txn stats statement =
   | Ast.Analyze name ->
     (* Statistics describe the committed table; collecting them inside
        a transaction is allowed and reads right through the snapshot. *)
-    if is_view db name then
-      error "cannot ANALYZE view %s: statistics are collected on base tables"
-        name;
-    if is_system db name then
-      error "cannot ANALYZE system table %s: statistics are collected on base \
-             tables"
-        name;
-    let entry = find_entry db name in
-    let collected = collect_stats entry in
-    bump_generation db;
-    Obs.Registry.incr (registry ()) "planner.analyze";
-    Eval.Done (Tablestats.summary name collected)
+    exec_analyze db name
   | Ast.Trace inner ->
-    let run () = ignore (exec_txn session txn stats inner) in
-    let trace =
-      match Obs.Span.current_trace () with
-      | Some trace ->
-        run ();
-        trace
-      | None ->
-        Obs.Span.in_trace (fun trace ->
-            run ();
-            trace)
-    in
-    Eval.Rows (Eval.rows_of_spans (Obs.Span.spans_of_trace trace))
+    traced_rows (fun () -> ignore (exec_txn session txn stats inner))
   | Ast.Show name ->
     if is_view db name then
       (* Views are maintained at commit points only, so a transaction
@@ -1845,18 +1872,7 @@ and exec_auto session stats statement =
   match statement with
     | Ast.Create (name, columns, order) ->
       require_primary db;
-      let schema =
-        match
-          Schema.of_names (List.map (fun (n, ty) -> (n, type_of_name ty)) columns)
-        with
-        | schema -> schema
-        | exception Schema.Schema_error msg -> error "%s" msg
-      in
-      let order_attrs =
-        match order with
-        | None -> Schema.attributes schema
-        | Some names -> List.map (Compile.attribute_of schema) names
-      in
+      let schema, order_attrs = Compile.table_of_columns columns order in
       add_table db name (Storage.Table.create ~order:order_attrs schema);
       emit_repl db (R_create { name; schema; order = order_attrs });
       Eval.Done (Printf.sprintf "table %s created" name)
@@ -1910,7 +1926,7 @@ and exec_auto session stats statement =
       let inserted, ops =
         List.fold_left
           (fun (count, ops) row ->
-            let tuple = tuple_of_row schema row in
+            let tuple = Compile.tuple_of_row schema row in
             if Storage.Table.insert entry.tbl tuple then
               (count + 1, Views.Catalog.Ins tuple :: ops)
             else (count, ops))
@@ -1926,7 +1942,7 @@ and exec_auto session stats statement =
       require_primary db;
       require_writable db name;
       let entry = find_entry db name in
-      let tuple = tuple_of_row (Storage.Table.schema entry.tbl) row in
+      let tuple = Compile.tuple_of_row (Storage.Table.schema entry.tbl) row in
       (match Storage.Table.delete entry.tbl tuple with
       | () ->
         note_writes db entry 1;
@@ -2016,23 +2032,16 @@ and exec_auto session stats statement =
       match view_in_source db source with
       | Some name ->
         let _, filtered = run_view_select db select name in
-        Eval.Done
-          (Printf.sprintf "%d fact(s) in %d NFR tuple(s)"
-             (Nfr.expansion_size filtered) (Nfr.cardinality filtered))
+        count_done filtered
       | None -> (
         match sys_in_source db source with
         | Some name ->
           let _, filtered = run_sys_select db select name in
-          Eval.Done
-            (Printf.sprintf "%d fact(s) in %d NFR tuple(s)"
-               (Nfr.expansion_size filtered) (Nfr.cardinality filtered))
+          count_done filtered
         | None ->
           let executed = run_select db select in
           add_op_stats stats executed.root;
-          Eval.Done
-            (Printf.sprintf "%d fact(s) in %d NFR tuple(s)"
-               (Nfr.expansion_size executed.filtered)
-               (Nfr.cardinality executed.filtered))))
+          count_done executed.filtered))
     | Ast.Explain s -> Eval.Done (explain_text db s)
     | Ast.Explain_analyze s -> (
       match view_in_source db s.Ast.source with
@@ -2060,38 +2069,11 @@ and exec_auto session stats statement =
       match Systab.history_result db.sys ~series ~last with
       | Ok rows -> Eval.Rows rows
       | Error msg -> error "%s" msg)
-    | Ast.Analyze name ->
-      if is_view db name then
-        error "cannot ANALYZE view %s: statistics are collected on base tables"
-          name;
-      if is_system db name then
-        error
-          "cannot ANALYZE system table %s: statistics are collected on base \
-           tables"
-          name;
-      let entry = find_entry db name in
-      let collected = collect_stats entry in
-      bump_generation db;
-      Obs.Registry.incr (registry ()) "planner.analyze";
-      Eval.Done (Tablestats.summary name collected)
+    | Ast.Analyze name -> exec_analyze db name
     | Ast.Trace inner ->
-      (* Run the statement under a trace scope — reusing the server's
-         ambient one when present — and return its spans as rows. *)
-      let run () =
-        let _, inner_stats = exec_session session inner in
-        Storage.Stats.add stats inner_stats
-      in
-      let trace =
-        match Obs.Span.current_trace () with
-        | Some trace ->
-          run ();
-          trace
-        | None ->
-          Obs.Span.in_trace (fun trace ->
-              run ();
-              trace)
-      in
-      Eval.Rows (Eval.rows_of_spans (Obs.Span.spans_of_trace trace))
+      traced_rows (fun () ->
+          let _, inner_stats = exec_session session inner in
+          Storage.Stats.add stats inner_stats)
     | Ast.Show name ->
       if is_view db name then Eval.Rows (Views.Catalog.snapshot db.views name)
       else if is_system db name then Eval.Rows (sys_snapshot db name)

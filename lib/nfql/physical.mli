@@ -1,6 +1,6 @@
 (** NFQL over the storage engine.
 
-    The second back end: tables are {!Storage.Table} values (heap +
+    The NFQL executor: tables are {!Storage.Table} values (heap +
     inverted index + optional B+-tree + WAL), and every SELECT runs as
     a {e pull-based operator tree} — scan / index-probe / B+-range
     leaves, streaming filter, index nested-loop join and blocking
@@ -37,11 +37,12 @@
     each executed select observes its relative estimation error in the
     [planner.est_error] histogram on {!Obs.Registry.global}.
 
-    Whatever the path, tuples are filtered with the same semantics as
-    {!Eval} — access paths are sound pre-filters (they never lose a
-    matching group), so both back ends return identical rows
-    (property-tested). DML statements behave as in {!Eval} but persist
-    through the table (and its WAL, if any); UPDATE applies each
+    Whatever the path, tuples are filtered with the paper's semantics —
+    access paths are sound pre-filters (they never lose a matching
+    group), so every SELECT returns the rows of the reference evaluator
+    {!Eval} (property-tested). DML statements leave the same canonical
+    relation as {!Eval} does and persist it through the table (and its
+    WAL, if any); UPDATE applies each
     victim as an insert-image-then-delete pair so a crash inside the
     statement never silently loses a row.
 
@@ -305,7 +306,9 @@ val exec : db -> Ast.statement -> Eval.result * Storage.Stats.t
     charges it incurred (summed over all operators). CREATE builds an
     in-memory table without a WAL. Runs under {!default_session}, so
     scripts with [BEGIN]/[COMMIT]/[ROLLBACK] work single-session.
-    @raise Eval.Eval_error as {!Eval} does.
+    @raise Eval.Eval_error on unknown tables/columns, type mismatches,
+    deleting absent tuples, misplaced CONTAINS, writes to views or
+    system tables, and transaction misuse.
     @raise Conflict as {!exec_session} does. *)
 
 val exec_session : session -> Ast.statement -> Eval.result * Storage.Stats.t
@@ -336,8 +339,10 @@ val chosen_path : db -> Ast.select -> access_path
 
 val explain : db -> Ast.select -> string
 (** Plan text: the chosen access path, its row estimate, the priced
-    candidate table when statistics exist, and the residual filter
-    (does not run the query; use [EXPLAIN ANALYZE] /
+    candidate table when statistics exist, the residual filter with one
+    line per top-level conjunct (a [contains-filter], or a [select]
+    marked componentwise or correlated), the projection and any
+    NEST/UNNEST (does not run the query; use [EXPLAIN ANALYZE] /
     {!analyze_select} for that). *)
 
 val last_profile : db -> (string * int) list
@@ -386,7 +391,7 @@ type analyze_report = {
 
 val analyze_select : db -> Ast.select -> analyze_report
 (** Execute the select, returning per-operator metrics alongside its
-    rows. @raise Eval.Eval_error as {!exec} does. *)
+    rows. @raise Eval.Eval_error as for {!exec}. *)
 
 val render_analyze : analyze_report -> string
 (** The aligned text table [EXPLAIN ANALYZE] prints. *)

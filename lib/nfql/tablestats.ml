@@ -38,8 +38,8 @@ let collect nfr =
 let find stats attribute =
   List.find_opt (fun a -> Attribute.equal a.a_attr attribute) stats.s_attrs
 
-(* Both back ends return this exact text for ANALYZE, so the
-   differential suite can compare them verbatim. *)
+(* ANALYZE returns exactly this text, so the differential suite can
+   compare it verbatim with the summary of the reference relation. *)
 let summary name stats =
   let buffer = Buffer.create 256 in
   Buffer.add_string buffer

@@ -34,5 +34,6 @@ val collect : Nfr.t -> t
 val find : t -> Attribute.t -> attr_stats option
 
 val summary : string -> t -> string
-(** The [Done] text ANALYZE returns — identical on both back ends for
-    identical content, so differential tests compare it verbatim. *)
+(** The [Done] text ANALYZE returns — a function of the content alone,
+    so differential tests compare it verbatim with the summary of the
+    reference evaluator's relation. *)

@@ -270,8 +270,8 @@ let to_json t =
 (* ------------------------------------------------------------------ *)
 
 (* Metric names are namespaced nf2_ and sanitized: every character
-   outside [a-zA-Z0-9_:] becomes '_' (so "wal.fsync_total" scrapes as
-   nf2_wal_fsync_total). *)
+   outside [a-zA-Z0-9_:] becomes '_' (so "wal.flush_total" scrapes as
+   nf2_wal_flush_total). *)
 let prom_name name =
   let buffer = Buffer.create (String.length name + 4) in
   Buffer.add_string buffer "nf2_";

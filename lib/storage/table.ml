@@ -183,12 +183,21 @@ let note_commit t tuples =
       t.ledger.entries <- t.ledger.entries + 1)
     tuples
 
+(* One canonical pass: V_P(flat) is unique (Theorem 2), so nesting the
+   whole relation once builds the same store as inserting fact by fact,
+   and each canonical tuple is appended to the heap exactly once — no
+   record is written and then superseded by a merge. *)
 let load ?page_size ?wal_path ?synchronous ?ordered_on ~order flat =
+  let canonical = Nest.canonical flat order in
   let t =
-    create ?page_size ?wal_path ?synchronous ?ordered_on ~order
-      (Relation.schema flat)
+    {
+      (create ?page_size ?wal_path ?synchronous ?ordered_on ~order
+         (Relation.schema flat))
+      with
+      store = Update.Store.of_nfr ~order canonical;
+    }
   in
-  Relation.iter (fun tuple -> ignore (apply_unlogged t (Wal.Insert tuple))) flat;
+  Nfr.iter (physical_add t) canonical;
   (* The bulk load is commit #1: its images carry stamp 1, and the
      ledger stays empty (a load is its own checkpoint). *)
   if Relation.cardinality flat > 0 then t.commit_seq <- 1;

@@ -193,20 +193,15 @@ let append t entry =
         t.written_bytes <- t.written_bytes + String.length prefix;
         flush t.channel;
         raise (Failpoint.Crashed "wal.append.frame"));
-      Obs.Span.with_span Obs.Span.Wal_fsync "wal.flush" (fun flush_span ->
-          flush t.channel;
-          Obs.Registry.incr registry "wal.flush_total";
-          (* Deprecated alias of wal.flush_total (this counter always
-             measured the user-buffer flush); dashboards migrate to
-             wal.flush_total / wal.sync_total. *)
-          Obs.Registry.incr registry "wal.fsync_total";
-          Obs.Registry.add_gauge registry "wal.bytes_unflushed"
-            (-.float_of_int (String.length framed));
-          Obs.Registry.add_gauge registry "wal.bytes_unsynced"
-            (float_of_int (String.length framed));
-          let elapsed = Obs.Span.now () -. flush_span.Obs.Span.start_s in
-          Obs.Registry.observe registry "wal.flush.seconds" elapsed;
-          Obs.Registry.observe registry "wal.fsync.seconds" elapsed);
+      let flush_start = Obs.Span.now () in
+      flush t.channel;
+      Obs.Registry.incr registry "wal.flush_total";
+      Obs.Registry.add_gauge registry "wal.bytes_unflushed"
+        (-.float_of_int (String.length framed));
+      Obs.Registry.add_gauge registry "wal.bytes_unsynced"
+        (float_of_int (String.length framed));
+      Obs.Registry.observe registry "wal.flush.seconds"
+        (Obs.Span.now () -. flush_start);
       Failpoint.hit "wal.append.after")
 
 let unsynced_bytes t = t.written_bytes - t.synced_bytes

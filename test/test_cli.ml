@@ -66,7 +66,10 @@ let check_nonzero name code =
 let test_sql_exec () =
   check_zero "sql -e ok" (run ("sql -e " ^ Filename.quote good_script));
   check_nonzero "sql -e failing"
-    (run ("sql -e " ^ Filename.quote bad_script))
+    (run ("sql -e " ^ Filename.quote bad_script));
+  (* There is one executor, so there is no back-end switch. *)
+  check_nonzero "sql --physical is an unknown option"
+    (run ("sql --physical -e " ^ Filename.quote good_script))
 
 let test_sql_script_file () =
   with_script good_script (fun path ->
@@ -109,29 +112,18 @@ let test_sql_txn () =
       with_script txn_good_dml (fun path ->
           let script = "--script " ^ Filename.quote path in
           check_zero "sql --txn ok"
-            (run (String.concat " " [ "sql"; "--txn"; load; script ]));
-          check_zero "sql --txn --physical ok"
-            (run
-               (String.concat " "
-                  [ "sql"; "--txn"; "--physical"; load; script ])));
+            (run (String.concat " " [ "sql"; "--txn"; load; script ])));
       with_script txn_bad_dml (fun path ->
           let script = "--script " ^ Filename.quote path in
           check_nonzero "sql --txn partial failure"
-            (run (String.concat " " [ "sql"; "--txn"; load; script ]));
-          check_nonzero "sql --txn --physical partial failure"
-            (run
-               (String.concat " "
-                  [ "sql"; "--txn"; "--physical"; load; script ]))))
+            (run (String.concat " " [ "sql"; "--txn"; load; script ]))))
 
 let test_repl_txn () =
   with_csv (fun csv ->
       let load = "--load t=" ^ Filename.quote csv in
       with_script txn_bad_dml (fun path ->
           check_nonzero "repl --txn partial failure"
-            (run ~stdin_file:path (String.concat " " [ "repl"; "--txn"; load ]));
-          check_nonzero "repl --txn --physical partial failure"
-            (run ~stdin_file:path
-               (String.concat " " [ "repl"; "--txn"; "--physical"; load ])));
+            (run ~stdin_file:path (String.concat " " [ "repl"; "--txn"; load ])));
       (* An explicit ROLLBACK discards the buffered insert; the SELECT
          that follows (now autocommit) must not show the row. *)
       with_script "insert into t values ('zz', 'zz');\nrollback;\nselect * from t\n"
@@ -141,33 +133,21 @@ let test_repl_txn () =
             let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
             at 0
           in
-          List.iter
-            (fun extra ->
-              let code, out =
-                run_capture ~stdin_file:path
-                  (String.concat " " ("repl" :: "--txn" :: extra @ [ load ]))
-              in
-              let tag = String.concat " " ("repl --txn" :: extra) in
-              check_zero (tag ^ " rollback script") code;
-              Alcotest.(check bool)
-                (tag ^ " rolled-back insert invisible")
-                false
-                (contains ~needle:"zz" out);
-              Alcotest.(check bool)
-                (tag ^ " committed rows visible")
-                true
-                (contains ~needle:"k1" out))
-            [ []; [ "--physical" ] ]))
+          let code, out =
+            run_capture ~stdin_file:path
+              (String.concat " " [ "repl"; "--txn"; load ])
+          in
+          check_zero "repl --txn rollback script" code;
+          Alcotest.(check bool) "rolled-back insert invisible" false
+            (contains ~needle:"zz" out);
+          Alcotest.(check bool) "committed rows visible" true
+            (contains ~needle:"k1" out)))
 
 let test_repl_piped () =
   with_script good_script (fun path ->
       check_zero "repl < ok" (run ~stdin_file:path "repl"));
   with_script bad_script (fun path ->
-      check_nonzero "repl < failing" (run ~stdin_file:path "repl"));
-  (* Same regression against the storage-engine backend. *)
-  with_script bad_script (fun path ->
-      check_nonzero "repl --physical < failing"
-        (run ~stdin_file:path "repl --physical"))
+      check_nonzero "repl < failing" (run ~stdin_file:path "repl"))
 
 let () =
   Alcotest.run "cli"

@@ -545,7 +545,7 @@ let test_rollback_byte_identical () =
 (* ------------------------------------------------------------------ *)
 
 let test_update_crash_window () =
-  (* The physical back end applies UPDATE as per-victim
+  (* The executor applies UPDATE as per-victim
      insert-image-then-delete-victim pairs, so a crash anywhere inside
      the statement must leave every matched row present as its old or
      its new image — a recoverable superset, never a silent loss. Land

@@ -8,8 +8,8 @@
    against both invariants; the eviction cascade itself is pinned by a
    hand-computed deterministic case.
 
-   The system-table half checks both back ends: SELECT / SELECT COUNT
-   / SHOW / HISTORY over [_metrics] work, every write path is refused
+   The system-table half checks the executor: SELECT / SELECT COUNT /
+   SHOW / HISTORY over [_metrics] work, every write path is refused
    with the typed read-only error, and a fake-clock Loop.step really
    does land scrape points queryable over [_metrics]. Retention of the
    slowest traces is driven with synthetic span trees. *)
@@ -142,13 +142,8 @@ let test_scrape_shapes () =
   Alcotest.(check int) "scrapes counted" 2 (H.scrape_count h)
 
 (* ------------------------------------------------------------------ *)
-(* System tables on both back ends                                     *)
+(* System tables                                                       *)
 (* ------------------------------------------------------------------ *)
-
-type backend = {
-  be_name : string;
-  be_exec : string -> [ `Rows of Nfr.t | `Msg of string ] list;
-}
 
 let seeded_history () =
   let h = H.create () in
@@ -158,110 +153,70 @@ let seeded_history () =
   H.observe h ~series:"loop.lag" ~ts:15. 0.;
   h
 
-let plain = function
-  | Nfql.Eval.Rows nfr -> `Rows nfr
-  | Nfql.Eval.Done text -> `Msg text
-
-let eval_backend () =
-  let db = Nfql.Eval.create () in
-  let h = seeded_history () in
-  Nfql.Eval.register_system_table db "_metrics" (fun () ->
-      (H.order, H.nfr h));
-  {
-    be_name = "eval";
-    be_exec = (fun source -> List.map plain (Nfql.Eval.exec_string db source));
-  }
-
-let physical_backend () =
+(* An executor whose [_metrics] serves the seeded history above. *)
+let seeded_db () =
   let db = Nfql.Physical.create () in
   let h = seeded_history () in
   Nfql.Physical.register_system_table db "_metrics" (fun () ->
       (H.order, H.nfr h));
-  {
-    be_name = "physical";
-    be_exec =
-      (fun source ->
-        List.map (fun (r, _) -> plain r) (Nfql.Physical.exec_string db source));
-  }
+  db
 
-let backends () = [ eval_backend (); physical_backend () ]
+let exec db source = List.map fst (Nfql.Physical.exec_string db source)
 
-let one_rows be source =
-  match be.be_exec source with
-  | [ `Rows nfr ] -> nfr
-  | _ -> Alcotest.failf "%s: expected one rows result for %S" be.be_name source
+let one_rows db source =
+  match exec db source with
+  | [ Nfql.Eval.Rows nfr ] -> nfr
+  | _ -> Alcotest.failf "expected one rows result for %S" source
 
-let expect_refusal be source fragment =
-  match be.be_exec source with
+let expect_refusal db source fragment =
+  match exec db source with
   | exception Nfql.Compile.Error msg ->
     Alcotest.(check bool)
-      (Printf.sprintf "%s refuses %S with %S (got %S)" be.be_name source
-         fragment msg)
+      (Printf.sprintf "refuses %S with %S (got %S)" source fragment msg)
       true
       (let h = String.length msg and n = String.length fragment in
        let rec at i =
          i + n <= h && (String.sub msg i n = fragment || at (i + 1))
        in
        at 0)
-  | exception Nfql.Eval.Eval_error msg ->
-    Alcotest.failf "%s raised Eval_error %S for %S" be.be_name msg source
-  | _ -> Alcotest.failf "%s accepted %S" be.be_name source
+  | _ -> Alcotest.failf "accepted %S" source
 
-let test_system_select_both () =
-  List.iter
-    (fun be ->
-      let rows =
-        one_rows be "select * from _metrics where Series = 'queries.total'"
-      in
-      Alcotest.(check int)
-        (be.be_name ^ ": flat samples of the series")
-        3
-        (Relation.cardinality (Nfr.flatten rows));
-      (* value 2.0 held at two timestamps -> one NFR tuple, so the
-         NFR itself has 2 tuples for 3 flat samples. *)
-      Alcotest.(check int) (be.be_name ^ ": nested run collapsed") 2
-        (Nfr.cardinality rows);
-      let shown = one_rows be "show _metrics" in
-      Alcotest.(check int)
-        (be.be_name ^ ": SHOW sees every series")
-        4
-        (Relation.cardinality (Nfr.flatten shown));
-      match be.be_exec "select count from _metrics" with
-      | [ `Rows _ ] | [ `Msg _ ] -> ()
-      | _ -> Alcotest.failf "%s: count over _metrics failed" be.be_name)
-    (backends ())
+let test_system_select () =
+  let db = seeded_db () in
+  let rows = one_rows db "select * from _metrics where Series = 'queries.total'" in
+  Alcotest.(check int) "flat samples of the series" 3
+    (Relation.cardinality (Nfr.flatten rows));
+  (* value 2.0 held at two timestamps -> one NFR tuple, so the NFR
+     itself has 2 tuples for 3 flat samples. *)
+  Alcotest.(check int) "nested run collapsed" 2 (Nfr.cardinality rows);
+  let shown = one_rows db "show _metrics" in
+  Alcotest.(check int) "SHOW sees every series" 4
+    (Relation.cardinality (Nfr.flatten shown));
+  match exec db "select count from _metrics" with
+  | [ Nfql.Eval.Done _ ] -> ()
+  | _ -> Alcotest.fail "count over _metrics failed"
 
-let test_system_history_statement_both () =
-  List.iter
-    (fun be ->
-      let rows = one_rows be "history 'queries.total' last 2" in
-      Alcotest.(check int)
-        (be.be_name ^ ": newest two samples")
-        2
-        (Relation.cardinality (Nfr.flatten rows));
-      let all = one_rows be "history 'queries.total'" in
-      Alcotest.(check int) (be.be_name ^ ": full series") 3
-        (Relation.cardinality (Nfr.flatten all));
-      let empty = one_rows be "history 'no.such.series'" in
-      Alcotest.(check int) (be.be_name ^ ": unknown series is empty") 0
-        (Nfr.cardinality empty))
-    (backends ())
+let test_system_history_statement () =
+  let db = seeded_db () in
+  let rows = one_rows db "history 'queries.total' last 2" in
+  Alcotest.(check int) "newest two samples" 2
+    (Relation.cardinality (Nfr.flatten rows));
+  let all = one_rows db "history 'queries.total'" in
+  Alcotest.(check int) "full series" 3 (Relation.cardinality (Nfr.flatten all));
+  let empty = one_rows db "history 'no.such.series'" in
+  Alcotest.(check int) "unknown series is empty" 0 (Nfr.cardinality empty)
 
-let test_system_writes_refused_both () =
-  List.iter
-    (fun be ->
-      let read_only = Nfql.Systab.read_only_error "_metrics" in
-      expect_refusal be
-        "insert into _metrics values ('s','raw',1.0,1.0)" read_only;
-      expect_refusal be "delete from _metrics where Series = 's'" read_only;
-      expect_refusal be "update _metrics set Value = 1.0 where Series = 's'" read_only;
-      expect_refusal be "drop table _metrics" read_only;
-      expect_refusal be "create table _mine (A string)" "reserved";
-      expect_refusal be "select * from _metrics join _metrics" "JOIN";
-      expect_refusal be "create view v as nest _metrics by Series"
-        "system table";
-      expect_refusal be "create view _v as nest t by A" "reserved")
-    (backends ())
+let test_system_writes_refused () =
+  let db = seeded_db () in
+  let read_only = Nfql.Systab.read_only_error "_metrics" in
+  expect_refusal db "insert into _metrics values ('s','raw',1.0,1.0)" read_only;
+  expect_refusal db "delete from _metrics where Series = 's'" read_only;
+  expect_refusal db "update _metrics set Value = 1.0 where Series = 's'" read_only;
+  expect_refusal db "drop table _metrics" read_only;
+  expect_refusal db "create table _mine (A string)" "reserved";
+  expect_refusal db "select * from _metrics join _metrics" "JOIN";
+  expect_refusal db "create view v as nest _metrics by Series" "system table";
+  expect_refusal db "create view _v as nest t by A" "reserved"
 
 (* ------------------------------------------------------------------ *)
 (* Fake-clock server loop: paced scrapes land in _metrics              *)
@@ -382,12 +337,11 @@ let () =
       );
       ( "system tables",
         [
-          Alcotest.test_case "SELECT/SHOW/COUNT on both back ends" `Quick
-            test_system_select_both;
-          Alcotest.test_case "HISTORY statement on both back ends" `Quick
-            test_system_history_statement_both;
-          Alcotest.test_case "writes refused on both back ends" `Quick
-            test_system_writes_refused_both;
+          Alcotest.test_case "SELECT/SHOW/COUNT over _metrics" `Quick
+            test_system_select;
+          Alcotest.test_case "HISTORY statement" `Quick
+            test_system_history_statement;
+          Alcotest.test_case "writes refused" `Quick test_system_writes_refused;
         ] );
       ( "server",
         [

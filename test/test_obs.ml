@@ -100,7 +100,7 @@ let find name samples =
 let test_prometheus_roundtrip () =
   let r = R.create () in
   R.add r "queries.total" 7;
-  R.incr r "wal.fsync_total";
+  R.incr r "wal.flush_total";
   R.incr_labeled r "frames.in" [ ("type", "query") ];
   R.incr_labeled r "frames.in" [ ("type", "query") ];
   R.incr_labeled r "frames.in" [ ("type", "ping") ];
@@ -116,7 +116,7 @@ let test_prometheus_roundtrip () =
       | None -> Alcotest.fail ("missing series " ^ name)
     in
     Alcotest.(check (float 0.)) "counter" 7. (value "nf2_queries_total");
-    Alcotest.(check (float 0.)) "incr" 1. (value "nf2_wal_fsync_total");
+    Alcotest.(check (float 0.)) "incr" 1. (value "nf2_wal_flush_total");
     Alcotest.(check (float 0.)) "gauge" 3. (value "nf2_connections_open");
     Alcotest.(check (float 0.)) "hist count" 2.
       (value "nf2_query_seconds_count");

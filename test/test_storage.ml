@@ -390,6 +390,37 @@ let test_table_physical_consistency () =
         ())
     snapshot
 
+(* Bulk load builds V_P(flat) in one pass (Theorem 2): every heap record
+   it writes is live, and the result is the canonical form itself. *)
+let test_table_load_one_pass () =
+  let flat = Workload.Scenarios.university_relationship ~rows:200 () in
+  let order = Schema.attributes (Relation.schema flat) in
+  let canonical = Nest.canonical flat order in
+  Alcotest.(check bool) "the fixture's tuples merge" true
+    (Nfr.cardinality canonical < Relation.cardinality flat);
+  let table = Table.load ~order flat in
+  Alcotest.(check int) "no dead records" 0 (Table.dead_records table);
+  Alcotest.(check int) "one record per canonical tuple"
+    (Nfr.cardinality canonical)
+    (Table.live_records table);
+  Alcotest.check nfr_testable "snapshot is the canonical form" canonical
+    (Table.snapshot table);
+  Alcotest.(check bool) "invariants" true (Table.check_invariants table);
+  Nfr.iter
+    (fun nt ->
+      Alcotest.(check (option int)) "loaded images carry stamp 1" (Some 1)
+        (Table.version_of table nt))
+    canonical;
+  let fresh = row (Relation.schema flat) [ "new-student"; "new-course"; "new-term" ] in
+  Table.begin_txn table ~txid:1;
+  Alcotest.(check bool) "txn insert applies" true
+    (Table.txn_insert table ~txid:1 fresh);
+  Alcotest.(check int) "commit after the load is commit 2" 2
+    (Table.commit_txn table ~txid:1);
+  Alcotest.(check bool) "committed" true (Table.member table fresh);
+  Alcotest.(check bool) "invariants after commit" true
+    (Table.check_invariants table)
+
 let test_table_tombstones_and_compaction () =
   let flat = Workload.Scenarios.university_relationship ~rows:100 () in
   let order = Schema.attributes (Relation.schema flat) in
@@ -930,6 +961,8 @@ let () =
             test_table_physical_consistency;
           Alcotest.test_case "tombstones and compaction" `Quick
             test_table_tombstones_and_compaction;
+          Alcotest.test_case "bulk load is one canonical pass" `Quick
+            test_table_load_one_pass;
           Alcotest.test_case "range queries" `Quick (fun () ->
               let flat = Workload.Scenarios.university_relationship ~rows:80 () in
               let order = Schema.attributes (Relation.schema flat) in

@@ -1,5 +1,5 @@
-(* lib/views acceptance: parsing, read/write semantics on both back
-   ends, incremental-equals-renest over random DML traces, view-WAL
+(* lib/views acceptance: parsing, read/write semantics on the executor,
+   incremental-equals-renest over random DML traces, view-WAL
    durability, and the live CDC stream against a forked server. *)
 
 open Relational
@@ -44,43 +44,26 @@ let test_parse () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Both back ends behind one face                                      *)
+(* The executor and its view catalog                                   *)
 (* ------------------------------------------------------------------ *)
 
 type backend = {
-  be_name : string;
   be_exec : string -> Nfql.Eval.result list;
   be_base : string -> Nfr.t;  (* committed state of a base table *)
   be_catalog : unit -> Views.Catalog.t;
 }
 
-let eval_backend () =
-  let db = Nfql.Eval.create () in
-  {
-    be_name = "eval";
-    be_exec = (fun src -> Nfql.Eval.exec_string db src);
-    be_base =
-      (fun name ->
-        match Nfql.Eval.table db name with
-        | Some nfr -> nfr
-        | None -> Alcotest.failf "eval: no table %s" name);
-    be_catalog = (fun () -> Nfql.Eval.catalog db);
-  }
-
 let physical_backend () =
   let db = Nfql.Physical.create () in
   {
-    be_name = "physical";
     be_exec = (fun src -> List.map fst (Nfql.Physical.exec_string db src));
     be_base =
       (fun name ->
         match Nfql.Physical.table db name with
         | Some table -> Storage.Table.snapshot table
-        | None -> Alcotest.failf "physical: no table %s" name);
+        | None -> Alcotest.failf "no table %s" name);
     be_catalog = (fun () -> Nfql.Physical.catalog db);
   }
-
-let both = [ eval_backend; physical_backend ]
 
 let expect_error be fragment source =
   match be.be_exec source with
@@ -91,17 +74,15 @@ let expect_error be fragment source =
       at 0
     in
     Alcotest.(check bool)
-      (Printf.sprintf "%s: %S fails mentioning %S (got %S)" be.be_name source
-         fragment msg)
+      (Printf.sprintf "%S fails mentioning %S (got %S)" source fragment msg)
       true (contains msg fragment)
   | results ->
-    Alcotest.failf "%s: %S succeeded with %d result(s)" be.be_name source
-      (List.length results)
+    Alcotest.failf "%S succeeded with %d result(s)" source (List.length results)
 
 let rows_of be source =
   match be.be_exec source with
   | [ Nfql.Eval.Rows nfr ] -> nfr
-  | _ -> Alcotest.failf "%s: %S did not return one Rows" be.be_name source
+  | _ -> Alcotest.failf "%S did not return one Rows" source
 
 let renest_of be table view =
   Nest.canonical
@@ -110,7 +91,7 @@ let renest_of be table view =
 
 let check_view_converged be table view =
   Alcotest.check nfr_testable
-    (Printf.sprintf "%s: view %s = canonical renest of %s" be.be_name view table)
+    (Printf.sprintf "view %s = canonical renest of %s" view table)
     (renest_of be table view)
     (Views.Catalog.snapshot (be.be_catalog ()) view)
 
@@ -119,90 +100,74 @@ let seed_sql =
    insert into t values ('g1','x1'), ('g1','x2'), ('g2','x1'), ('g2','x3')"
 
 let test_basic () =
-  List.iter
-    (fun make ->
-      let be = make () in
-      ignore (be.be_exec seed_sql);
-      ignore (be.be_exec "create view v as nest t by x");
-      check_view_converged be "t" "v";
-      (* Reading the view by name goes through the materialized NFR. *)
-      let shown = rows_of be "show v" in
-      Alcotest.check nfr_testable
-        (be.be_name ^ ": SHOW v") (renest_of be "t" "v") shown;
-      let selected = rows_of be "select * from v" in
-      Alcotest.(check bool)
-        (be.be_name ^ ": SELECT * FROM v equivalent to renest")
-        true
-        (Nfr.equivalent selected (renest_of be "t" "v"));
-      let filtered = rows_of be "select * from v where g = 'g1'" in
-      Alcotest.(check bool)
-        (be.be_name ^ ": WHERE over the view restricts it")
-        true
-        (Nfr.cardinality filtered < Nfr.cardinality selected
-        || Nfr.cardinality selected <= 1);
-      (* Committed DML keeps the view maintained. *)
-      ignore (be.be_exec "insert into t values ('g3','x2')");
-      ignore (be.be_exec "delete from t values ('g2','x1')");
-      ignore (be.be_exec "update t set g = 'g9' where g = 'g1'");
-      check_view_converged be "t" "v";
-      (* In-transaction writes reach the view only at COMMIT. *)
-      ignore (be.be_exec "begin");
-      ignore (be.be_exec "insert into t values ('g4','x4')");
-      let mid = Views.Catalog.snapshot (be.be_catalog ()) "v" in
-      ignore (be.be_exec "commit");
-      Alcotest.(check bool)
-        (be.be_name ^ ": uncommitted insert was invisible to the view")
-        false
-        (Nfr.equal mid (Views.Catalog.snapshot (be.be_catalog ()) "v"));
-      check_view_converged be "t" "v";
-      (* ...and a rollback never touches it. *)
-      ignore (be.be_exec "begin");
-      ignore (be.be_exec "insert into t values ('g5','x5')");
-      ignore (be.be_exec "rollback");
-      check_view_converged be "t" "v";
-      (* Views are read-only tables with typed errors, not failwiths. *)
-      expect_error be "views are read-only" "insert into v values ('a','b')";
-      expect_error be "views are read-only" "delete from v where g = 'g1'";
-      expect_error be "views are read-only" "update v set g = 'z' where g = 'z'";
-      expect_error be "use DROP VIEW" "drop table v";
-      expect_error be "depends on it" "drop table t";
-      expect_error be "cannot appear in JOIN" "select * from v join t";
-      expect_error be "statistics are collected on base tables" "analyze v";
-      expect_error be "already exists" "create table v (a string)";
-      expect_error be "base tables" "create view w as nest v by g";
-      expect_error be "unknown" "create view w as nest missing by g";
-      expect_error be "BY clause" "create view w as nest t by nope";
-      ignore (be.be_exec "begin");
-      expect_error be "inside a transaction" "create view w as nest t by g";
-      expect_error be "inside a transaction" "drop view v";
-      ignore (be.be_exec "rollback");
-      (* DROP VIEW releases the dependency. *)
-      ignore (be.be_exec "drop view v");
-      expect_error be "unknown" "show v";
-      ignore (be.be_exec "drop table t"))
-    both
+  let be = physical_backend () in
+  ignore (be.be_exec seed_sql);
+  ignore (be.be_exec "create view v as nest t by x");
+  check_view_converged be "t" "v";
+  (* Reading the view by name goes through the materialized NFR. *)
+  let shown = rows_of be "show v" in
+  Alcotest.check nfr_testable "SHOW v" (renest_of be "t" "v") shown;
+  let selected = rows_of be "select * from v" in
+  Alcotest.(check bool) "SELECT * FROM v equivalent to renest" true
+    (Nfr.equivalent selected (renest_of be "t" "v"));
+  let filtered = rows_of be "select * from v where g = 'g1'" in
+  Alcotest.(check bool) "WHERE over the view restricts it" true
+    (Nfr.cardinality filtered < Nfr.cardinality selected
+    || Nfr.cardinality selected <= 1);
+  (* Committed DML keeps the view maintained. *)
+  ignore (be.be_exec "insert into t values ('g3','x2')");
+  ignore (be.be_exec "delete from t values ('g2','x1')");
+  ignore (be.be_exec "update t set g = 'g9' where g = 'g1'");
+  check_view_converged be "t" "v";
+  (* In-transaction writes reach the view only at COMMIT. *)
+  ignore (be.be_exec "begin");
+  ignore (be.be_exec "insert into t values ('g4','x4')");
+  let mid = Views.Catalog.snapshot (be.be_catalog ()) "v" in
+  ignore (be.be_exec "commit");
+  Alcotest.(check bool) "uncommitted insert was invisible to the view" false
+    (Nfr.equal mid (Views.Catalog.snapshot (be.be_catalog ()) "v"));
+  check_view_converged be "t" "v";
+  (* ...and a rollback never touches it. *)
+  ignore (be.be_exec "begin");
+  ignore (be.be_exec "insert into t values ('g5','x5')");
+  ignore (be.be_exec "rollback");
+  check_view_converged be "t" "v";
+  (* Views are read-only tables with typed errors, not failwiths. *)
+  expect_error be "views are read-only" "insert into v values ('a','b')";
+  expect_error be "views are read-only" "delete from v where g = 'g1'";
+  expect_error be "views are read-only" "update v set g = 'z' where g = 'z'";
+  expect_error be "use DROP VIEW" "drop table v";
+  expect_error be "depends on it" "drop table t";
+  expect_error be "cannot appear in JOIN" "select * from v join t";
+  expect_error be "statistics are collected on base tables" "analyze v";
+  expect_error be "already exists" "create table v (a string)";
+  expect_error be "base tables" "create view w as nest v by g";
+  expect_error be "unknown" "create view w as nest missing by g";
+  expect_error be "BY clause" "create view w as nest t by nope";
+  ignore (be.be_exec "begin");
+  expect_error be "inside a transaction" "create view w as nest t by g";
+  expect_error be "inside a transaction" "drop view v";
+  ignore (be.be_exec "rollback");
+  (* DROP VIEW releases the dependency. *)
+  ignore (be.be_exec "drop view v");
+  expect_error be "unknown" "show v";
+  ignore (be.be_exec "drop table t")
 
 (* A commit whose write set spans several tables is atomic per table
    only (see docs/STORAGE.md); the exposure is counted. *)
 let test_multi_table_commit_counter () =
-  List.iter
-    (fun make ->
-      let be = make () in
-      ignore (be.be_exec "create table t1 (a string); create table t2 (a string)");
-      let counted () = Obs.Registry.get Obs.Registry.global "txn.multi_table_commit" in
-      let before = counted () in
-      ignore
-        (be.be_exec
-           "begin; insert into t1 values ('x'); insert into t2 values ('y'); \
-            commit");
-      Alcotest.(check int)
-        (be.be_name ^ ": two-table commit ticks the counter")
-        (before + 1) (counted ());
-      ignore (be.be_exec "begin; insert into t1 values ('z'); commit");
-      Alcotest.(check int)
-        (be.be_name ^ ": single-table commit does not")
-        (before + 1) (counted ()))
-    both
+  let be = physical_backend () in
+  ignore (be.be_exec "create table t1 (a string); create table t2 (a string)");
+  let counted () = Obs.Registry.get Obs.Registry.global "txn.multi_table_commit" in
+  let before = counted () in
+  ignore
+    (be.be_exec
+       "begin; insert into t1 values ('x'); insert into t2 values ('y'); \
+        commit");
+  Alcotest.(check int) "two-table commit ticks the counter" (before + 1)
+    (counted ());
+  ignore (be.be_exec "begin; insert into t1 values ('z'); commit");
+  Alcotest.(check int) "single-table commit does not" (before + 1) (counted ())
 
 (* ------------------------------------------------------------------ *)
 (* Property: incremental maintenance == full renest, random traces     *)
@@ -210,62 +175,59 @@ let test_multi_table_commit_counter () =
 
 let test_random_traces () =
   List.iter
-    (fun make ->
-      List.iter
-        (fun seed ->
-          let rng = Random.State.make [| seed |] in
-          let be = make () in
-          ignore
-            (be.be_exec
-               "create table t (g string, x string, y string);\n\
-                create view v as nest t by x, y");
-          let cell prefix n = Printf.sprintf "'%s%d'" prefix n in
-          let rand_row () =
-            Printf.sprintf "(%s, %s, %s)"
-              (cell "g" (Random.State.int rng 4))
-              (cell "x" (Random.State.int rng 6))
-              (cell "y" (Random.State.int rng 3))
-          in
-          let exec_tolerant source =
-            (* deleting an absent tuple is a (typed) error on both back
-               ends; the trace doesn't care *)
-            try ignore (be.be_exec source)
-            with Nfql.Eval.Eval_error _ -> ()
-          in
-          let in_txn = ref false in
-          for _ = 1 to 120 do
-            (match Random.State.int rng 10 with
-            | 0 | 1 | 2 | 3 ->
-              exec_tolerant ("insert into t values " ^ rand_row ())
-            | 4 | 5 -> exec_tolerant ("delete from t values " ^ rand_row ())
-            | 6 ->
-              exec_tolerant
-                (Printf.sprintf "update t set y = %s where g = %s"
-                   (cell "y" (Random.State.int rng 3))
-                   (cell "g" (Random.State.int rng 4)))
-            | 7 ->
-              if not !in_txn then begin
-                ignore (be.be_exec "begin");
-                in_txn := true
-              end
-            | 8 ->
-              if !in_txn then begin
-                ignore (be.be_exec "commit");
-                in_txn := false
-              end
-            | _ ->
-              if !in_txn then begin
-                ignore (be.be_exec "rollback");
-                in_txn := false
-              end);
-            (* Between transactions every statement is a commit point;
-               the view must track the base exactly there. *)
-            if not !in_txn then check_view_converged be "t" "v"
-          done;
-          if !in_txn then ignore (be.be_exec "commit");
-          check_view_converged be "t" "v")
-        [ 7; 19; 101 ])
-    both
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let be = physical_backend () in
+      ignore
+        (be.be_exec
+           "create table t (g string, x string, y string);\n\
+            create view v as nest t by x, y");
+      let cell prefix n = Printf.sprintf "'%s%d'" prefix n in
+      let rand_row () =
+        Printf.sprintf "(%s, %s, %s)"
+          (cell "g" (Random.State.int rng 4))
+          (cell "x" (Random.State.int rng 6))
+          (cell "y" (Random.State.int rng 3))
+      in
+      let exec_tolerant source =
+        (* deleting an absent tuple is a (typed) error; the trace
+           doesn't care *)
+        try ignore (be.be_exec source)
+        with Nfql.Eval.Eval_error _ -> ()
+      in
+      let in_txn = ref false in
+      for _ = 1 to 120 do
+        (match Random.State.int rng 10 with
+        | 0 | 1 | 2 | 3 ->
+          exec_tolerant ("insert into t values " ^ rand_row ())
+        | 4 | 5 -> exec_tolerant ("delete from t values " ^ rand_row ())
+        | 6 ->
+          exec_tolerant
+            (Printf.sprintf "update t set y = %s where g = %s"
+               (cell "y" (Random.State.int rng 3))
+               (cell "g" (Random.State.int rng 4)))
+        | 7 ->
+          if not !in_txn then begin
+            ignore (be.be_exec "begin");
+            in_txn := true
+          end
+        | 8 ->
+          if !in_txn then begin
+            ignore (be.be_exec "commit");
+            in_txn := false
+          end
+        | _ ->
+          if !in_txn then begin
+            ignore (be.be_exec "rollback");
+            in_txn := false
+          end);
+        (* Between transactions every statement is a commit point;
+           the view must track the base exactly there. *)
+        if not !in_txn then check_view_converged be "t" "v"
+      done;
+      if !in_txn then ignore (be.be_exec "commit");
+      check_view_converged be "t" "v")
+    [ 7; 19; 101 ]
 
 (* ------------------------------------------------------------------ *)
 (* Definition durability: the views WAL                                *)
