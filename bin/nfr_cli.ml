@@ -596,8 +596,10 @@ let serve_cmd =
       & opt (some string) None
       & info [ "wal-dir" ] ~docv:"DIR"
           ~doc:
-            "Give every loaded table a write-ahead log DIR/NAME.wal; on \
-             graceful shutdown the tables are checkpointed and closed")
+            "Give every loaded table a write-ahead log DIR/NAME.wal and a \
+             snapshot DIR/NAME.snap; graceful shutdown saves the snapshots \
+             and checkpoints the logs. Once DIR/NAME.snap exists, a restart \
+             recovers NAME from DIR and ignores its --load CSV")
   in
   let wal_sync_interval_arg =
     Arg.(
@@ -681,42 +683,38 @@ let serve_cmd =
       or_die (Error "--trace-capacity must be at least 1");
     if trace_retain < 1 then or_die (Error "--trace-retain must be at least 1");
     let db = Nfql.Physical.create () in
-    let tables = ref [] in
-    List.iter
-      (fun spec ->
-        let name, path = split_load_spec spec in
-        let flat = or_die (load_relation path) in
-        let order = Schema.attributes (Relation.schema flat) in
-        let wal_path =
-          Option.map (fun dir -> Filename.concat dir (name ^ ".wal")) wal_dir
-        in
-        (* The serve loop group-commits: WAL appends stay buffered per
-           statement and the loop fsyncs once per tick, withholding
-           acknowledgements until their bytes are covered. *)
-        let table = Storage.Table.load ?wal_path ~synchronous:false ~order flat in
-        tables := table :: !tables;
-        Nfql.Physical.add_table db name table)
-      loads;
-    (* View definitions ride their own log in the same directory, so
-       CREATE VIEW survives a restart (contents are renested from the
-       recovered bases, never logged). *)
-    Option.iter
-      (fun dir ->
-        Nfql.Physical.attach_views_wal db
-          ~path:(Filename.concat dir "_views.wal"))
-      wal_dir;
-    (* The global commit manifest: the single commit point for
-       multi-table transactions. Appended at COMMIT, fsynced by the
-       same group-commit tick as the table WALs it covers (tables
-       first, manifest last), so an acked commit is durable in every
-       participating table or rolled back from all of them. *)
-    Option.iter
-      (fun dir ->
-        let manifest =
-          Storage.Manifest.open_log (Filename.concat dir "_commit.wal")
-        in
-        Nfql.Physical.attach_manifest ~synchronous:false db manifest)
-      wal_dir;
+    (* The serve loop group-commits: WAL appends stay buffered per
+       statement and the loop fsyncs once per tick, withholding
+       acknowledgements until their bytes are covered. *)
+    let fresh path ?wal_path () =
+      let flat = or_die (load_relation path) in
+      let order = Schema.attributes (Relation.schema flat) in
+      Storage.Table.load ?wal_path ~synchronous:false ~order flat
+    in
+    let loads = List.map split_load_spec loads in
+    let tables =
+      match wal_dir with
+      | Some dir -> (
+        (* A restart recovers each table from the directory, which
+           holds the acknowledged state, and ignores its CSV; the
+           global commit manifest [_commit.wal] arbitrates provisional
+           multi-table commits and view definitions ride [_views.wal]
+           (contents are renested from the recovered bases). *)
+        try
+          Nfql.Physical.open_wal_dir ~synchronous:false db ~dir
+            (List.map
+               (fun (name, path) -> (name, fun ~wal_path -> fresh path ~wal_path ()))
+               loads)
+        with Storage.Storage_error.Error err ->
+          or_die (Error (dir ^ ": " ^ Storage.Storage_error.to_string err)))
+      | None ->
+        List.map
+          (fun (name, path) ->
+            let table = fresh path () in
+            Nfql.Physical.add_table db name table;
+            (name, table))
+          loads
+    in
     let config =
       {
         Server.Session.max_connections;
@@ -738,23 +736,43 @@ let serve_cmd =
         slow_log_file = slow_query_log;
       }
     in
-    (* Drain-time hook: checkpoint (compact + truncate the WAL at the
-       new generation) and close every WAL-backed table, so a graceful
-       shutdown leaves a minimal, flushed log behind. *)
+    (* Drain-time hook: save each healthy table's snapshot, checkpoint
+       it (compact + truncate the WAL at the next generation) and close
+       it, so a graceful shutdown leaves a directory a restart recovers
+       the acknowledged state from. A crash between the save and the
+       truncation is safe: the snapshot records the old generation, so
+       recovery skips the stale log. A table that cannot be saved keeps
+       its whole log. *)
     let on_shutdown () =
-      List.iter
-        (fun table ->
-          (try Storage.Table.checkpoint table
-           with Storage.Storage_error.Error _ -> ());
-          Storage.Table.close table)
-        !tables;
-      (* Every table just checkpointed (its WAL truncated past all
-         recorded transactions), so resetting the manifest is safe —
-         nothing provisional remains for it to arbitrate. *)
+      let checkpointed =
+        List.fold_left
+          (fun all (name, table) ->
+            let saved =
+              Storage.Table.health table = Storage.Table.Healthy
+              &&
+              match
+                Option.iter
+                  (fun dir ->
+                    Storage.Table.save_snapshot table
+                      (Nfql.Physical.wal_dir_snapshot ~dir name))
+                  wal_dir;
+                Storage.Table.checkpoint table
+              with
+              | () -> true
+              | exception (Storage.Storage_error.Error _ | Sys_error _) -> false
+            in
+            Storage.Table.close table;
+            all && saved)
+          true tables
+      in
+      (* Resetting the manifest is only safe once every table's WAL is
+         truncated past the transactions it recorded — nothing
+         provisional remains for it to arbitrate. *)
       Option.iter
         (fun manifest ->
-          (try Storage.Manifest.truncate manifest
-           with Storage.Storage_error.Error _ -> ());
+          if checkpointed then (
+            try Storage.Manifest.truncate manifest
+            with Storage.Storage_error.Error _ -> ());
           Storage.Manifest.close manifest)
         (Nfql.Physical.manifest db)
     in

@@ -320,6 +320,41 @@ let attach_views_wal db ~path =
         Option.map Storage.Table.snapshot (table db base))
       ()
 
+let wal_dir_snapshot ~dir name = Filename.concat dir (name ^ ".snap")
+
+(* Every start-up on a WAL directory ends at a snapshot and a
+   checkpoint per table. A table with a snapshot is recovered from the
+   directory (provisional commits checked against the manifest), one
+   without is built by [fresh]. The checkpoint moves each WAL to the
+   next generation, so the next restart replays it over the snapshot
+   instead of skipping it as stale, and leaves no recovered record (a
+   rolled-back provisional commit, say) in the log this run appends
+   to. Only then is the manifest reset: a txid this run allocates can
+   never meet a recovered commit with the same number. *)
+let open_wal_dir ?(synchronous = true) db ~dir specs =
+  let manifest = Storage.Manifest.open_log (Filename.concat dir "_commit.wal") in
+  let tables =
+    List.map
+      (fun (name, fresh) ->
+        let wal_path = Filename.concat dir (name ^ ".wal") in
+        let snapshot = wal_dir_snapshot ~dir name in
+        let table =
+          if Sys.file_exists snapshot then
+            Storage.Table.load_snapshot ~wal_path ~synchronous
+              ~durable:(Storage.Manifest.durable manifest) snapshot
+          else fresh ~wal_path
+        in
+        Storage.Table.save_snapshot table snapshot;
+        Storage.Table.checkpoint table;
+        add_table db name table;
+        (name, table))
+      specs
+  in
+  Storage.Manifest.truncate manifest;
+  attach_views_wal db ~path:(Filename.concat dir "_views.wal");
+  attach_manifest ~synchronous db manifest;
+  tables
+
 let collect_stats entry =
   let stats = Tablestats.collect (Storage.Table.snapshot entry.tbl) in
   entry.stats <- Some stats;

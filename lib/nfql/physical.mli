@@ -262,6 +262,29 @@ val attach_views_wal : db -> path:string -> unit
     dropped and counted on [view.orphaned_total]. Call after table
     loading, before serving. *)
 
+val open_wal_dir :
+  ?synchronous:bool ->
+  db ->
+  dir:string ->
+  (string * (wal_path:string -> Storage.Table.t)) list ->
+  (string * Storage.Table.t) list
+(** Start a database on the WAL directory [dir]. For each
+    [(name, fresh)], when [dir/<name>.snap] exists the table is
+    recovered from it and [dir/<name>.wal], provisional commits checked
+    against the manifest [dir/_commit.wal]; otherwise it is
+    [fresh ~wal_path]. Either way its snapshot is saved and it is
+    checkpointed before it is registered. Once every table is, the
+    manifest is reset, the view catalog reopened from
+    [dir/_views.wal] ({!attach_views_wal}) and the manifest attached
+    ({!attach_manifest}, with [synchronous]; tables are opened with it
+    too). Returns the opened tables in [specs] order.
+    @raise Storage.Storage_error.Error when a recovery or a snapshot
+    fails. *)
+
+val wal_dir_snapshot : dir:string -> string -> string
+(** [dir/<name>.snap]: the snapshot {!open_wal_dir} keeps for table
+    [name]. *)
+
 val iter_tables : db -> (string -> Storage.Table.t -> unit) -> unit
 (** Apply [f name table] to every registered table. *)
 

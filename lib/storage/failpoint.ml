@@ -18,6 +18,7 @@ let sites =
     ("wal.sync.after", `Control);
     ("wal.reset", `Control);
     ("snapshot.body", `Write);
+    ("snapshot.sync", `Sync);
     ("snapshot.rename", `Control);
     ("engine.load.record", `Write);
     (* Cross-table commit windows: between one table's provisional

@@ -49,7 +49,9 @@ val sites : (string * site_kind) list
 (** Every site the storage stack declares, in instrumentation order:
     ["wal.append.before"], ["wal.append.frame"], ["wal.append.after"],
     ["wal.sync.before"], ["wal.sync.after"], ["wal.reset"],
-    ["snapshot.body"], ["snapshot.rename"], ["engine.load.record"],
+    ["snapshot.body"], ["snapshot.sync"] (the fsync of the new
+    snapshot before its rename), ["snapshot.rename"],
+    ["engine.load.record"],
     ["txn.commit.table"] (before each table's provisional commit
     append in a multi-table commit), ["manifest.append.before"]
     (between the last table's append and the manifest record).

@@ -76,13 +76,11 @@ let ordered_values t nt =
   | None -> Vset.singleton (Value.of_int 0) (* unused *)
   | Some position -> Ntuple.component nt position
 
-let physical_add t nt =
+let physical_add_stamped t nt stamp =
   Obs.Registry.add_gauge Obs.Registry.global "storage.live_tuples" 1.;
   let rid = Heap.append t.heap (encode_record nt) in
   Ntuple_table.replace t.rids nt rid;
-  (* Stamp the image with the sequence its op will commit at; the
-     bump happens when the commit (or autocommit op) completes. *)
-  Ntuple_table.replace t.versions nt (t.commit_seq + 1);
+  Ntuple_table.replace t.versions nt stamp;
   List.iteri
     (fun position component ->
       Vset.fold (fun value () -> Index.add t.index ~position value rid) component ())
@@ -91,6 +89,10 @@ let physical_add t nt =
   | Some tree ->
     Vset.fold (fun value () -> Btree.insert tree value rid) (ordered_values t nt) ()
   | None -> ()
+
+(* Stamp the image with the sequence its op will commit at; the bump
+   happens when the commit (or autocommit op) completes. *)
+let physical_add t nt = physical_add_stamped t nt (t.commit_seq + 1)
 
 let physical_remove t nt =
   match Ntuple_table.find_opt t.rids nt with
@@ -119,15 +121,15 @@ let apply_journal t journal =
    [~synchronous:false] and runs group commit instead: the event loop
    batches one [sync_wal] per tick over every dirty log and only then
    releases the acknowledgements it deferred. *)
-let create ?(page_size = Page.default_size) ?wal_path ?(synchronous = true)
-    ?ordered_on ~order schema =
+let make ?(page_size = Page.default_size) ?wal_path ?(synchronous = true) ?ordered_on
+    ~wal ~store ~order schema =
   let ordered_position =
     Option.map (fun attribute -> Schema.position schema attribute) ordered_on
   in
   {
     schema;
     order;
-    store = Update.Store.create ~order schema;
+    store;
     page_size;
     heap = Heap.create ~page_size ();
     index = Index.create ();
@@ -136,7 +138,7 @@ let create ?(page_size = Page.default_size) ?wal_path ?(synchronous = true)
     dead = Rid_set.empty;
     ordered_on = ordered_position;
     btree = Option.map (fun _ -> Btree.create ()) ordered_position;
-    wal = Option.map Wal.open_log wal_path;
+    wal;
     wal_path;
     sync_on_commit = synchronous;
     health = Healthy;
@@ -145,23 +147,11 @@ let create ?(page_size = Page.default_size) ?wal_path ?(synchronous = true)
     txn = None;
   }
 
-let apply_unlogged t entry =
-  match entry with
-  | Wal.Insert tuple ->
-    let journal = Update.Store.insert_journaled t.store tuple in
-    apply_journal t journal;
-    journal <> []
-  | Wal.Delete tuple ->
-    let journal = Update.Store.delete_journaled t.store tuple in
-    apply_journal t journal;
-    true
-  | Wal.Txn_begin _ | Wal.Txn_insert _ | Wal.Txn_delete _ | Wal.Txn_commit _
-  | Wal.Txn_abort _ ->
-    invalid_arg "Table.apply_unlogged: transaction records must be folded first"
-  | Wal.View_def _ | Wal.View_drop _ ->
-    invalid_arg "Table.apply_unlogged: view catalog records do not belong to a table log"
-  | Wal.Manifest_commit _ ->
-    invalid_arg "Table.apply_unlogged: manifest records belong to the commit manifest log"
+let create ?page_size ?wal_path ?synchronous ?ordered_on ~order schema =
+  make ?page_size ?wal_path ?synchronous ?ordered_on
+    ~wal:(Option.map Wal.open_log wal_path)
+    ~store:(Update.Store.create ~order schema)
+    ~order schema
 
 (* The commit point of one autocommit op or one whole transaction:
    advance the sequence and remember which flat tuples it wrote, so a
@@ -183,32 +173,13 @@ let note_commit t tuples =
       t.ledger.entries <- t.ledger.entries + 1)
     tuples
 
-(* One canonical pass: V_P(flat) is unique (Theorem 2), so nesting the
-   whole relation once builds the same store as inserting fact by fact,
-   and each canonical tuple is appended to the heap exactly once — no
-   record is written and then superseded by a merge. *)
-let load ?page_size ?wal_path ?synchronous ?ordered_on ~order flat =
-  let canonical = Nest.canonical flat order in
-  let t =
-    {
-      (create ?page_size ?wal_path ?synchronous ?ordered_on ~order
-         (Relation.schema flat))
-      with
-      store = Update.Store.of_nfr ~order canonical;
-    }
-  in
-  Nfr.iter (physical_add t) canonical;
-  (* The bulk load is commit #1: its images carry stamp 1, and the
-     ledger stays empty (a load is its own checkpoint). *)
-  if Relation.cardinality flat > 0 then t.commit_seq <- 1;
-  t
-
-(* Fold a replayed entry stream into its committed effects:
-   autocommit entries pass through one by one, transactional ops
-   buffer per txid and surface as one group at their Txn_commit, and
-   anything whose commit never landed — an explicit Txn_abort, or a
-   buffer still open at end of log (a torn transaction) — is
-   discarded. Discarded ops are correct rollback, not data loss.
+(* Fold a replayed entry stream into its committed effects: each
+   autocommit entry is a group of its own, transactional ops buffer
+   per txid and surface as one group at their Txn_commit, and anything
+   whose commit never landed — an explicit Txn_abort, or a buffer
+   still open at end of log (a torn transaction) — is discarded.
+   Discarded ops are correct rollback, not data loss. Every group holds
+   only Insert/Delete entries and counts as one commit.
 
    [durable] is the global-commit-manifest check: when given, a
    per-table Txn_commit is merely {e provisional}, and the group it
@@ -221,10 +192,12 @@ let load ?page_size ?wal_path ?synchronous ?ordered_on ~order flat =
    commits, not explicit aborts) are additionally reported per txid so
    the recovery report can break down what the crash cost. *)
 type fold_report = {
-  groups : [ `Auto of Wal.entry | `Group of Wal.entry list ] list;
+  groups : Wal.entry list list;
   discarded_ops : int;  (* every discarded op: aborts, torn, manifest *)
   crash_discards : (int * int) list;  (* (txid, ops) torn or non-durable *)
 }
+
+let no_log = { groups = []; discarded_ops = 0; crash_discards = [] }
 
 let fold_committed ?durable entries =
   let buffers : (int, Wal.entry list ref) Hashtbl.t = Hashtbl.create 8 in
@@ -253,7 +226,7 @@ let fold_committed ?durable entries =
     List.filter_map
       (fun entry ->
         match entry with
-        | Wal.Insert _ | Wal.Delete _ -> Some (`Auto entry)
+        | Wal.Insert _ | Wal.Delete _ -> Some [ entry ]
         | Wal.Txn_begin txid ->
           (* A re-begun txid implicitly aborts the earlier attempt. *)
           drop txid;
@@ -280,8 +253,8 @@ let fold_committed ?durable entries =
             | Some ops ->
               Hashtbl.remove buffers txid;
               started := List.filter (fun id -> id <> txid) !started;
-              Some (`Group (List.rev !ops))
-            | None -> Some (`Group [])))
+              Some (List.rev !ops)
+            | None -> Some []))
         | Wal.Txn_abort txid ->
           drop txid;
           None
@@ -295,28 +268,86 @@ let fold_committed ?durable entries =
   List.iter (drop ~crash:true) (List.rev !started);
   { groups; discarded_ops = !discarded; crash_discards = List.rev !crash_discards }
 
-let recover ?page_size ?synchronous ?ordered_on ?durable ~wal_path ~order schema =
-  let entries = Wal.replay wal_path in
-  let t = create ?page_size ~wal_path ?synchronous ?ordered_on ~order schema in
-  let { groups; _ } = fold_committed ?durable entries in
-  let apply entry =
-    match apply_unlogged t entry with
-    | _ -> ()
-    | exception Update.Not_in_relation ->
-      (* A delete whose insert was lost cannot be replayed; the log
-         is the source of truth, so this is corruption. *)
-      Storage_error.corrupt ~context:"Table.recover" ~offset:0
-        "WAL deletes a tuple that is not present"
+(* Apply committed groups, in order, to a flat fact set. An entry that
+   cannot apply — a delete of an absent tuple (its insert was lost), or
+   a tuple that does not fit the schema (debris that passed a legacy
+   checksum) — is corruption under [~strict], since the log is the
+   source of truth; otherwise it is skipped and counted. Returns the
+   net facts and the (applied, skipped) entry counts. *)
+let fold_log ~strict ~context base groups =
+  let applied = ref 0 and skipped = ref 0 in
+  let cannot_apply facts reason =
+    if strict then Storage_error.corrupt ~context ~offset:0 reason;
+    incr skipped;
+    facts
   in
-  List.iter
-    (function
-      | `Auto entry ->
-        apply entry;
-        note_commit t []
-      | `Group entries ->
-        List.iter apply entries;
-        note_commit t [])
-    groups;
+  let apply facts entry =
+    match entry with
+    | Wal.Insert tuple -> (
+      match Relation.add facts tuple with
+      | facts ->
+        incr applied;
+        facts
+      | exception Schema.Schema_error reason -> cannot_apply facts reason)
+    | Wal.Delete tuple when Relation.mem facts tuple ->
+      incr applied;
+      Relation.remove facts tuple
+    | _ -> cannot_apply facts "WAL deletes a tuple that is not present"
+  in
+  let facts = List.fold_left (List.fold_left apply) base groups in
+  (facts, !applied, !skipped)
+
+(* Lay a canonical NFR out in a fresh heap, index and B+-tree: one
+   record per tuple, none dead, each stamped with [stamp nt]. *)
+let lay_out t ~stamp canonical =
+  Obs.Registry.add_gauge Obs.Registry.global "storage.live_tuples"
+    (-.float_of_int (Ntuple_table.length t.rids));
+  t.heap <- Heap.create ~page_size:t.page_size ();
+  t.index <- Index.create ();
+  t.rids <- Ntuple_table.create 256;
+  t.versions <- Ntuple_table.create 256;
+  t.dead <- Rid_set.empty;
+  t.btree <- Option.map (fun _ -> Btree.create ()) t.ordered_on;
+  Nfr.iter (fun nt -> physical_add_stamped t nt (stamp nt)) canonical
+
+(* Every load and recovery builds here, in one canonical pass. V_P is
+   unique and independent of the order tuples were composed in
+   (Theorem 2), so a table is fully determined by its net flat
+   relation: fold the committed log onto the base facts, nest once,
+   and write each canonical tuple to the heap once. That costs
+   O(|base| + |log|) plus one nest — not one Sec. 4 update per fact —
+   and leaves no dead record behind. It also re-canonicalises a
+   tampered snapshot, whose stored tuples are only used for their
+   facts.
+
+   The sequence is the one a fact-by-fact replay reaches: a non-empty
+   base is commit 1 and each group one more. Every image is stamped
+   with the last of them — it was committed at or before it. The WAL is
+   opened from [scan], the recovery's one read of it, when given. *)
+let build ?page_size ?wal_path ?scan ?synchronous ?ordered_on ~strict ~context ~order base
+    groups =
+  let facts, applied, skipped = fold_log ~strict ~context base groups in
+  let canonical = Nest.canonical facts order in
+  let wal =
+    Option.map
+      (fun path ->
+        match scan with Some scan -> Wal.open_scanned path scan | None -> Wal.open_log path)
+      wal_path
+  in
+  let t =
+    make ?page_size ?wal_path ?synchronous ?ordered_on ~wal
+      ~store:(Update.Store.of_nfr ~order canonical)
+      ~order (Relation.schema base)
+  in
+  t.commit_seq <- (if Relation.is_empty base then 0 else 1) + List.length groups;
+  lay_out t ~stamp:(fun _ -> t.commit_seq) canonical;
+  (t, applied, skipped)
+
+let load ?page_size ?wal_path ?synchronous ?ordered_on ~order flat =
+  let t, _, _ =
+    build ?page_size ?wal_path ?synchronous ?ordered_on ~strict:true ~context:"Table.load"
+      ~order flat []
+  in
   t
 
 type recovery_report = {
@@ -333,34 +364,6 @@ type recovery_report = {
          recovery aggregates these per table so an operator can audit
          exactly what a crash rolled back where. *)
 }
-
-(* Replay entries, skipping (and counting) any that cannot be applied —
-   a delete whose insert was salvaged away, or a decoded-but-bogus
-   tuple from debris that slipped past a legacy checksum. Nothing in
-   here may take the table down mid-recovery. Uncommitted transactional
-   tails are folded away first and counted separately: discarding them
-   is the contract, not damage. *)
-let apply_salvaged ?durable t entries =
-  let { groups; discarded_ops; crash_discards } = fold_committed ?durable entries in
-  let applied = ref 0 and skipped = ref 0 in
-  let apply entry =
-    match apply_unlogged t entry with
-    | _ -> incr applied
-    | exception
-        ( Update.Not_in_relation | Update.Update_diverged _
-        | Storage_error.Error _ | Invalid_argument _ | Failure _ ) ->
-      incr skipped
-  in
-  List.iter
-    (function
-      | `Auto entry ->
-        apply entry;
-        note_commit t []
-      | `Group entries ->
-        List.iter apply entries;
-        note_commit t [])
-    groups;
-  (!applied, !skipped, discarded_ops, crash_discards)
 
 let degrade_if_lossy t report =
   let wal_damage =
@@ -384,28 +387,67 @@ let degrade_if_lossy t report =
            | None -> 0)
            report.skipped_ops)
 
+(* A WAL at or below the snapshot's generation predates it: its entries
+   are already folded into the snapshot (the crash window between
+   save_snapshot and the checkpoint's truncation), so replaying them
+   would double-apply. Retire such a log by truncating it past the
+   snapshot's generation: left as it is, the next write would land in a
+   log the next recovery skips as stale again. *)
+let is_stale ~generation scan = generation > 0 && scan.Wal.generation <= generation
+
+let retire_stale t ~generation = Option.iter (Wal.truncate ~past:generation) t.wal
+
+(* Every recovery: a base (a parsed snapshot, or the empty relation at
+   generation 0) plus [scan], the one read of its WAL. A strict
+   recovery refuses mid-log damage and inapplicable entries; a salvage
+   one skips and counts them. Uncommitted transactional tails are
+   folded away before the build and counted apart from the skipped
+   entries: discarding them is the contract, not damage. *)
+let recover_onto ?page_size ?wal_path ?synchronous ?ordered_on ?durable ~strict ~context
+    ~snapshot_status (generation, order, base) scan =
+  let stale = Option.fold ~none:false ~some:(is_stale ~generation) scan in
+  let folded =
+    match scan with
+    | Some scan when not stale ->
+      fold_committed ?durable (if strict then Wal.clean_entries scan else scan.Wal.entries)
+    | Some _ | None -> no_log
+  in
+  let t, applied, skipped_ops =
+    build ?page_size ?wal_path ?scan ?synchronous ?ordered_on ~strict ~context ~order base
+      folded.groups
+  in
+  if stale then retire_stale t ~generation;
+  ( t,
+    {
+      wal_salvage = scan;
+      snapshot_status;
+      stale_wal = stale;
+      applied;
+      skipped_ops;
+      discarded_txn_ops = folded.discarded_ops;
+      discarded_txns = folded.crash_discards;
+    } )
+
+let salvaged (t, report) =
+  degrade_if_lossy t report;
+  (t, report)
+
+let recover ?page_size ?synchronous ?ordered_on ?durable ~wal_path ~order schema =
+  fst
+    (recover_onto ?page_size ~wal_path ?synchronous ?ordered_on ?durable ~strict:true
+       ~context:"Table.recover" ~snapshot_status:`None_requested
+       (0, order, Relation.empty schema)
+       (Some (Wal.replay_salvage wal_path)))
+
 let recover_salvage ?page_size ?synchronous ?ordered_on ?durable ~wal_path ~order
     schema =
   Obs.Span.with_span Obs.Span.Salvage wal_path @@ fun _ ->
   Obs.Registry.incr Obs.Registry.global "wal.recover_salvage_total";
-  let salvage = Wal.replay_salvage wal_path in
-  let t = create ?page_size ~wal_path ?synchronous ?ordered_on ~order schema in
-  let applied, skipped_ops, discarded_txn_ops, discarded_txns =
-    apply_salvaged ?durable t salvage.Wal.entries
-  in
-  let report =
-    {
-      wal_salvage = Some salvage;
-      snapshot_status = `None_requested;
-      stale_wal = false;
-      applied;
-      skipped_ops;
-      discarded_txn_ops;
-      discarded_txns;
-    }
-  in
-  degrade_if_lossy t report;
-  (t, report)
+  salvaged
+    (recover_onto ?page_size ~wal_path ?synchronous ?ordered_on ?durable ~strict:false
+       ~context:"Table.recover_salvage" ~snapshot_status:`None_requested
+       (0, order, Relation.empty schema)
+       (Some (Wal.replay_salvage wal_path)))
 
 let close t = Option.iter Wal.close t.wal
 let schema t = t.schema
@@ -473,9 +515,10 @@ let insert t tuple =
   if Update.Store.member t.store tuple then false
   else begin
     log_durably ~sync:true t (Wal.Insert tuple);
-    let applied = apply_unlogged t (Wal.Insert tuple) in
+    let journal = Update.Store.insert_journaled t.store tuple in
+    apply_journal t journal;
     note_commit t [ tuple ];
-    applied
+    journal <> []
   end
 
 let delete t tuple =
@@ -483,7 +526,7 @@ let delete t tuple =
   require_no_txn t "Table.delete";
   if not (Update.Store.member t.store tuple) then raise Update.Not_in_relation;
   log_durably ~sync:true t (Wal.Delete tuple);
-  ignore (apply_unlogged t (Wal.Delete tuple));
+  apply_journal t (Update.Store.delete_journaled t.store tuple);
   note_commit t [ tuple ]
 
 (* ------------------------------------------------------------------ *)
@@ -677,23 +720,13 @@ let pool t = Heap.pool t.heap
 let pool_hit_rate t = Bufpool.hit_rate (Heap.pool t.heap)
 
 let compact t =
-  let live = snapshot t in
-  (* Rebuilding re-appends every live record through [physical_add],
-     which would restamp the images at the current sequence; a compact
-     changes the physical layout, not the commit history, so carry the
-     stamps over. *)
+  (* A compact changes the physical layout, not the commit history:
+     carry the images' stamps over rather than restamping them. *)
   let stamps = t.versions in
-  t.heap <- Heap.create ~page_size:t.page_size ();
-  t.index <- Index.create ();
-  t.rids <- Ntuple_table.create 256;
-  t.versions <- Ntuple_table.create 256;
-  t.dead <- Rid_set.empty;
-  t.btree <- Option.map (fun _ -> Btree.create ()) t.ordered_on;
-  Nfr.iter (physical_add t) live;
-  Ntuple_table.iter
-    (fun nt seq ->
-      if Ntuple_table.mem t.rids nt then Ntuple_table.replace t.versions nt seq)
-    stamps
+  lay_out t
+    ~stamp:(fun nt ->
+      Option.value (Ntuple_table.find_opt stamps nt) ~default:(t.commit_seq + 1))
+    (snapshot t)
 
 let checkpoint t =
   require_writable t;
@@ -765,22 +798,42 @@ let save_snapshot t path =
   Buffer.add_string file payload;
   add_le32 file (Crc32.digest payload);
   let temp = path ^ ".tmp" in
+  (* The new snapshot must be on disk before the rename publishes it,
+     and the rename before the caller truncates the WAL it covers: a
+     power cut must never leave a truncated log behind an empty or
+     old snapshot. *)
+  let write_synced data =
+    Out_channel.with_open_bin temp (fun oc ->
+        Out_channel.output_string oc data;
+        Out_channel.flush oc;
+        let fd = Unix.descr_of_out_channel oc in
+        match Failpoint.on_sync "snapshot.sync" with
+        | Failpoint.Proceed -> Unix.fsync fd
+        | Failpoint.Power_cut ->
+          (* Power lost before the fsync: none of the bytes landed. *)
+          Unix.ftruncate fd 0;
+          raise (Failpoint.Crashed "snapshot.sync"))
+  in
   (match Failpoint.on_write "snapshot.body" (Buffer.contents file) with
-  | Failpoint.Full data ->
-    Out_channel.with_open_bin temp (fun oc -> Out_channel.output_string oc data)
-  | Failpoint.Dropped ->
-    Out_channel.with_open_bin temp (fun oc -> Out_channel.output_string oc "")
+  | Failpoint.Full data -> write_synced data
+  | Failpoint.Dropped -> write_synced ""
   | Failpoint.Partial prefix ->
     Out_channel.with_open_bin temp (fun oc -> Out_channel.output_string oc prefix);
     raise (Failpoint.Crashed "snapshot.body"));
   Obs.Span.set_bytes snapshot_span (String.length payload);
   Failpoint.hit "snapshot.rename";
-  Sys.rename temp path
+  Sys.rename temp path;
+  let dir = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close dir)
+    (fun () -> try Unix.fsync dir with Unix.Unix_error _ -> ())
 
-(* Parse a snapshot file into (wal generation, table) — raising typed
-   errors on any damage; integrity is checked before anything is
-   built. *)
-let parse_snapshot ?page_size ?wal_path ?synchronous ?ordered_on contents =
+(* Parse a snapshot file into (WAL generation, nest order, flat facts),
+   raising typed errors on any damage; integrity is checked before
+   anything is built. The stored tuples are only read for their facts:
+   [build] re-nests them, so a tampered snapshot comes back canonical. *)
+let parse_snapshot contents =
+  let context = "Table.load_snapshot" in
   let generation, bytes =
     if
       String.length contents >= String.length snapshot_magic + 4
@@ -790,8 +843,7 @@ let parse_snapshot ?page_size ?wal_path ?synchronous ?ordered_on contents =
       let stored = read_le32 contents (String.length contents - 4) in
       let payload = String.sub contents (String.length snapshot_magic) body_length in
       if Crc32.digest payload <> stored then
-        Storage_error.corrupt ~context:"Table.load_snapshot"
-          ~offset:(String.length contents - 4)
+        Storage_error.corrupt ~context ~offset:(String.length contents - 4)
           "checksum mismatch (torn or bit-flipped snapshot)";
       let bytes = Bytes.of_string payload in
       let generation, offset = Codec.decode_varint bytes 0 in
@@ -801,11 +853,9 @@ let parse_snapshot ?page_size ?wal_path ?synchronous ?ordered_on contents =
   in
   let bytes, start = bytes in
   let degree, offset = Codec.decode_varint bytes start in
-  if degree = 0 then
-    Storage_error.corrupt ~context:"Table.load_snapshot" ~offset:start "empty schema";
+  if degree = 0 then Storage_error.corrupt ~context ~offset:start "empty schema";
   if degree < 0 || degree > Bytes.length bytes - offset then
-    Storage_error.corrupt ~context:"Table.load_snapshot" ~offset:start
-      "schema degree exceeds snapshot size";
+    Storage_error.corrupt ~context ~offset:start "schema degree exceeds snapshot size";
   let columns = ref [] in
   let offset = ref offset in
   for _ = 1 to degree do
@@ -814,7 +864,6 @@ let parse_snapshot ?page_size ?wal_path ?synchronous ?ordered_on contents =
     columns := (name, ty_of_tag ~offset:next tag) :: !columns;
     offset := next
   done;
-  let schema = Schema.of_names (List.rev !columns) in
   let order = ref [] in
   for _ = 1 to degree do
     let name, next = decode_string bytes !offset in
@@ -823,125 +872,60 @@ let parse_snapshot ?page_size ?wal_path ?synchronous ?ordered_on contents =
   done;
   let count, next = Codec.decode_varint bytes !offset in
   if count < 0 || count > Bytes.length bytes - next then
-    Storage_error.corrupt ~context:"Table.load_snapshot" ~offset:!offset
-      "tuple count exceeds snapshot size";
+    Storage_error.corrupt ~context ~offset:!offset "tuple count exceeds snapshot size";
   offset := next;
-  let t =
-    create ?page_size ?wal_path ?synchronous ?ordered_on
-      ~order:(List.rev !order) schema
-  in
-  for _ = 1 to count do
-    let nt, next = Codec.decode_ntuple bytes !offset in
-    offset := next;
-    (* Feed the flat facts through the normal path so logic and
-       physical layers stay in sync and canonicity is re-established
-       even if the snapshot was tampered with. *)
-    List.iter
-      (fun tuple -> ignore (apply_unlogged t (Wal.Insert tuple)))
-      (Ntuple.expand nt)
-  done;
-  if count > 0 then t.commit_seq <- 1;
-  (generation, t)
+  match Schema.of_names (List.rev !columns) with
+  | exception Schema.Schema_error reason -> Storage_error.corrupt ~context ~offset:0 reason
+  | schema ->
+    let facts = ref (Relation.empty schema) in
+    for _ = 1 to count do
+      let nt, next = Codec.decode_ntuple bytes !offset in
+      offset := next;
+      List.iter
+        (fun tuple ->
+          match Relation.add !facts tuple with
+          | added -> facts := added
+          | exception Schema.Schema_error reason ->
+            Storage_error.corrupt ~context ~offset:next reason)
+        (Ntuple.expand nt)
+    done;
+    (generation, List.rev !order, !facts)
+
+let read_snapshot path = In_channel.with_open_bin path In_channel.input_all
 
 let load_snapshot ?page_size ?wal_path ?synchronous ?ordered_on ?durable path =
   Obs.Span.with_span Obs.Span.Snapshot_load path @@ fun _ ->
   Obs.Registry.incr Obs.Registry.global "snapshot.load_total";
-  let contents = In_channel.with_open_bin path In_channel.input_all in
-  let snapshot_generation, t =
-    parse_snapshot ?page_size ?wal_path ?synchronous ?ordered_on contents
-  in
-  (match wal_path with
-  | Some wal_path ->
-    let salvage = Wal.replay_salvage wal_path in
-    (* A WAL at or below the snapshot's generation predates it — its
-       entries are already folded into the snapshot (the crash window
-       between save_snapshot and the checkpoint's truncation), so
-       replaying them would double-apply. *)
-    let stale = snapshot_generation > 0 && salvage.Wal.generation <= snapshot_generation in
-    if not stale then begin
-      let { groups; _ } = fold_committed ?durable (Wal.replay wal_path) in
-      let apply entry =
-        match apply_unlogged t entry with
-        | _ -> ()
-        | exception Update.Not_in_relation ->
-          Storage_error.corrupt ~context:"Table.load_snapshot" ~offset:0
-            "WAL deletes an absent tuple"
-      in
-      List.iter
-        (function
-          | `Auto entry ->
-            apply entry;
-            note_commit t []
-          | `Group entries ->
-            List.iter apply entries;
-            note_commit t [])
-        groups
-    end
-  | None -> ());
-  t
+  let parsed = parse_snapshot (read_snapshot path) in
+  fst
+    (recover_onto ?page_size ?wal_path ?synchronous ?ordered_on ?durable ~strict:true
+       ~context:"Table.load_snapshot" ~snapshot_status:`Loaded parsed
+       (Option.map Wal.replay_salvage wal_path))
 
 let load_snapshot_salvage ?page_size ?wal_path ?synchronous ?ordered_on ?durable
     path =
   Obs.Span.with_span Obs.Span.Salvage path @@ fun _ ->
   Obs.Registry.incr Obs.Registry.global "snapshot.salvage_total";
-  let snapshot_result =
-    match In_channel.with_open_bin path In_channel.input_all with
-    | contents -> (
-      match parse_snapshot ?page_size ?wal_path ?synchronous ?ordered_on contents with
-      | result -> Ok result
-      | exception Storage_error.Error err -> Error (Storage_error.to_string err)
-      | exception Schema.Schema_error reason -> Error reason)
-    | exception Sys_error _ -> Error "snapshot file unreadable"
-  in
-  let (snapshot_generation, t), snapshot_status =
-    match snapshot_result with
-    | Ok (generation, t) -> ((generation, t), `Loaded)
-    | Error reason ->
-      let missing = not (Sys.file_exists path) in
-      ( (0, create ?page_size ~order:[ Attribute.make "_" ] (Schema.strings [ "_" ])),
-        if missing then `Absent else `Corrupt reason )
-  in
-  (* A corrupt snapshot leaves us without a schema to recover into;
-     the caller owns the schema in that situation and should use
-     [recover_salvage] — signalled through the report. *)
-  match wal_path with
-  | None ->
-    let report =
-      {
-        wal_salvage = None;
-        snapshot_status;
-        stale_wal = false;
-        applied = 0;
-        skipped_ops = 0;
-        discarded_txn_ops = 0;
-        discarded_txns = [];
-      }
+  let scan = Option.map Wal.replay_salvage wal_path in
+  match parse_snapshot (read_snapshot path) with
+  | parsed ->
+    salvaged
+      (recover_onto ?page_size ?wal_path ?synchronous ?ordered_on ?durable ~strict:false
+         ~context:"Table.load_snapshot_salvage" ~snapshot_status:`Loaded parsed scan)
+  | exception ((Storage_error.Error _ | Sys_error _) as error) ->
+    (* A corrupt snapshot leaves us without a schema to recover into;
+       the caller owns the schema in that situation and should use
+       [recover_salvage] — signalled through the report. *)
+    let snapshot_status =
+      match error with
+      | _ when not (Sys.file_exists path) -> `Absent
+      | Storage_error.Error err -> `Corrupt (Storage_error.to_string err)
+      | _ -> `Corrupt "snapshot file unreadable"
     in
-    degrade_if_lossy t report;
-    (t, report)
-  | Some wal_path ->
-    let salvage = Wal.replay_salvage wal_path in
-    let stale =
-      snapshot_status = `Loaded && snapshot_generation > 0
-      && salvage.Wal.generation <= snapshot_generation
-    in
-    let applied, skipped_ops, discarded_txn_ops, discarded_txns =
-      if stale || snapshot_status <> `Loaded then (0, 0, 0, [])
-      else apply_salvaged ?durable t salvage.Wal.entries
-    in
-    let report =
-      {
-        wal_salvage = Some salvage;
-        snapshot_status;
-        stale_wal = stale;
-        applied;
-        skipped_ops;
-        discarded_txn_ops;
-        discarded_txns;
-      }
-    in
-    degrade_if_lossy t report;
-    (t, report)
+    salvaged
+      ( create ?page_size ~order:[ Attribute.make "_" ] (Schema.strings [ "_" ]),
+        { wal_salvage = scan; snapshot_status; stale_wal = false; applied = 0;
+          skipped_ops = 0; discarded_txn_ops = 0; discarded_txns = [] } )
 
 (* ------------------------------------------------------------------ *)
 (* Cross-layer invariants                                              *)

@@ -8,8 +8,17 @@
       {!Index} postings; updates tombstone dead records and append new
       ones (journal-driven), {!compact} rebuilds when the dead ratio
       grows;
-    - durability: a logical {!Wal}; {!recover} replays it from an
-      empty table, so a crash loses at most the unfinished entry.
+    - durability: a logical {!Wal}; {!recover} rebuilds from it, so a
+      crash loses at most the unfinished entry.
+
+    Every load and recovery ({!load}, {!recover}, {!load_snapshot} and
+    their salvage variants) builds in one canonical pass: the
+    committed log is folded onto the base's flat facts, the result is
+    nested once ([V_P] is unique, Theorem 2) and each canonical tuple
+    is written to the heap once. Recovery therefore costs
+    O(|snapshot facts| + |log|) plus one nest pass, not one Sec. 4
+    update per fact, and leaves no dead record. {!compact} lays the
+    live tuples out the same way.
 
     The heap/index are in-memory stand-ins for disk blocks (as in
     {!Engine}); durability comes solely from the WAL.
@@ -79,7 +88,10 @@ val recover :
   order:Attribute.t list ->
   Schema.t ->
   t
-(** Rebuild by replaying the WAL from an empty table.
+(** Rebuild from the WAL alone: its committed entries, folded onto an
+    empty relation, nested once. The WAL is read and CRC-checked once
+    and the table appends to it afterwards. {!commit_seq} is the
+    number of committed groups (autocommit ops and transactions).
 
     [durable] is the global-commit-manifest check: when given, every
     per-table [Txn_commit] is treated as {e provisional} and its group
@@ -188,7 +200,9 @@ val delete : t -> Tuple.t -> unit
 
 val commit_seq : t -> int
 (** Number of commits applied to this table instance (bulk loads count
-    as commit 1). *)
+    as commit 1). A recovered table counts a non-empty snapshot as
+    commit 1 and each committed WAL group as one more, and stamps every
+    recovered image ({!version_of}) with that last sequence. *)
 
 val in_txn : t -> bool
 
@@ -332,7 +346,10 @@ val save_snapshot : t -> string -> unit
 (** Serialize schema, nest order and every NFR tuple to a file
     (binary, via {!Codec}), atomically: the bytes (with a magic header
     and CRC-32 trailer) go to [path ^ ".tmp"] and are renamed into
-    place, so a crash mid-save leaves any previous snapshot intact. *)
+    place, so a crash mid-save leaves any previous snapshot intact.
+    The file is fsynced before the rename and its directory after it,
+    so once this returns the snapshot survives a power cut and the
+    WAL it covers may be truncated. *)
 
 val load_snapshot :
   ?page_size:int ->
@@ -345,8 +362,12 @@ val load_snapshot :
 (** Rebuild a table from {!save_snapshot} output, then replay
     [wal_path] (if given) on top — the full recovery story: snapshot
     at the last checkpoint + the log since. A WAL whose generation is
-    at or below the snapshot's is stale (already folded in) and is
-    skipped. Legacy un-checksummed snapshots still load.
+    at or below the snapshot's is stale (already folded in): it is
+    skipped, and truncated past the snapshot's generation so later
+    writes land in a log the next recovery replays. The snapshot's
+    stored tuples are only read for their facts and re-nested, so a
+    tampered snapshot comes back canonical. Legacy un-checksummed
+    snapshots still load.
     @raise Storage_error.Error on a torn, bit-flipped or otherwise
     malformed snapshot, or on an inapplicable WAL entry. *)
 

@@ -457,8 +457,9 @@ let replay_salvage path =
         Obs.Registry.incr Obs.Registry.global "wal.salvage_total";
       salvage)
 
-let replay path =
-  let salvage = replay_salvage path in
+(* The entries of a scan under [replay]'s strict contract: a torn tail
+   is crash debris and drops silently, mid-log damage raises. *)
+let clean_entries salvage =
   if salvage.bytes_skipped > 0 then
     Storage_error.corrupt ~context:"Wal.replay"
       ~offset:(Option.value ~default:0 salvage.first_bad_offset)
@@ -468,17 +469,17 @@ let replay path =
          salvage.bytes_skipped)
   else salvage.entries
 
+let replay path = clean_entries (replay_salvage path)
+
 (* ------------------------------------------------------------------ *)
 (* Opening                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let open_log path =
-  let existing = if Sys.file_exists path then read_file path else "" in
+let open_scanned path salvage =
+  (* An empty file or a torn header (the only way a v1 scan fails at
+     offset 0) means nothing in the file can be valid: start afresh. *)
   let fresh =
-    existing = ""
-    ||
-    (* A torn header means nothing after it can be valid either. *)
-    parse_header (Bytes.of_string existing) = `Torn
+    salvage.scanned_bytes = 0 || (salvage.format = V1 && salvage.first_bad_offset = Some 0)
   in
   (* Whatever the file holds once opening completes is the durable
      baseline: fsync it so the watermark claim ("synced bytes survive
@@ -498,32 +499,21 @@ let open_log path =
       written_bytes = size; synced_bytes = size; path }
   end
   else begin
-    let salvage = replay_salvage path in
-    let format = salvage.format and generation = salvage.generation in
-    if salvage.torn_tail_bytes > 0 then begin
-      (* A crash tore the last frame. Appending after the debris would
-         bury it mid-log, so trim back to the last frame boundary; the
-         channel is then already positioned for appending. *)
-      let keep = String.sub existing 0 (String.length existing - salvage.torn_tail_bytes) in
-      let channel =
-        open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 path
-      in
-      output_string channel keep;
-      settle channel;
-      { channel; open_ = true; format; generation;
-        written_bytes = String.length keep; synced_bytes = String.length keep;
-        path }
-    end
-    else begin
-      let channel =
-        open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 path
-      in
-      settle channel;
-      let size = String.length existing in
-      { channel; open_ = true; format; generation;
-        written_bytes = size; synced_bytes = size; path }
-    end
+    (* When a crash tore the last frame, appending after the debris
+       would bury it mid-log: trim back to the last frame boundary. *)
+    let size = salvage.scanned_bytes - salvage.torn_tail_bytes in
+    if salvage.torn_tail_bytes > 0 then Unix.truncate path size;
+    let channel =
+      open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 path
+    in
+    settle channel;
+    { channel; open_ = true; format = salvage.format; generation = salvage.generation;
+      written_bytes = size; synced_bytes = size; path }
   end
+
+let open_log path =
+  let present = Sys.file_exists path && (Unix.stat path).Unix.st_size > 0 in
+  open_scanned path (if present then replay_salvage path else empty_salvage)
 
 (* ------------------------------------------------------------------ *)
 (* Truncation                                                          *)
@@ -547,10 +537,10 @@ let reset path =
   in
   write_truncated path (previous + 1)
 
-let truncate t =
+let truncate ?(past = 0) t =
   if not t.open_ then raise (Storage_error.Error (Storage_error.Closed "Wal.truncate"));
   close_out_noerr t.channel;
-  let generation = t.generation + 1 in
+  let generation = max t.generation past + 1 in
   write_truncated t.path generation;
   t.channel <- open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 t.path;
   t.format <- V1;

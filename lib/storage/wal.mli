@@ -1,10 +1,10 @@
 (** A logical write-ahead log.
 
     Records the {e user-level} operations (insert/delete of one flat
-    tuple) rather than physical effects, so recovery is replaying the
-    Sec. 4 algorithms — which is exactly what makes logical logging
-    cheap for NFRs: entries are tuple-sized no matter how large the
-    touched groups were.
+    tuple) rather than physical effects — which is exactly what makes
+    logical logging cheap for NFRs: entries are tuple-sized no matter
+    how large the touched groups were, and recovery folds them onto
+    the snapshot's facts and nests once (see {!Table}).
 
     {2 On-disk format}
 
@@ -133,6 +133,17 @@ val replay_salvage : string -> salvage
     is reported as a torn tail. A missing file yields an empty clean
     report. *)
 
+val clean_entries : salvage -> entry list
+(** A scan's entries under {!replay}'s contract ([replay path] is
+    [clean_entries (replay_salvage path)]).
+    @raise Storage_error.Error when the scan skipped mid-log damage. *)
+
+val open_scanned : string -> salvage -> t
+(** {!open_log} for a file already scanned: [salvage] must be the
+    {!replay_salvage} of the file as it is now. Recovery scans each
+    log once and opens it from that scan instead of decoding it a
+    second time. *)
+
 val reset : string -> unit
 (** Truncate the log to an empty v1 file at the next generation
     (after a checkpoint). Safe to call on a path whose handle is
@@ -141,7 +152,9 @@ val reset : string -> unit
     truncation (and the only correct way to reset a v0-format
     handle), use {!truncate}. *)
 
-val truncate : t -> unit
+val truncate : ?past:int -> t -> unit
 (** Truncate through the handle: bumps the generation, rewrites the
     header, and re-points the handle (upgrading a v0 handle to v1).
+    With [~past:g] the new generation is above [g] as well, in one
+    rewrite (retiring a log a snapshot at generation [g] made stale).
     @raise Storage_error.Error [(Closed _)] after {!close}. *)

@@ -23,25 +23,39 @@ s1,c2
 s2,c1
 EOF
 
-"$CLI" serve --load "sc=$workdir/sc.csv" --port 0 --wal-dir "$workdir" \
-    > "$workdir/server.log" 2>&1 &
-server_pid=$!
+# start_server: serve sc.csv with the shared WAL directory in the
+# background; sets $server_pid and, once bound, $port (the server
+# prints "nf2d listening on 127.0.0.1:PORT ..." once bound).
+start_server() {
+    "$CLI" serve --load "sc=$workdir/sc.csv" --port 0 --wal-dir "$workdir" \
+        > "$workdir/server.log" 2>&1 &
+    server_pid=$!
+    port=""
+    for _ in $(seq 1 50); do
+        port=$(sed -n 's/^nf2d listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
+            "$workdir/server.log")
+        [ -n "$port" ] && break
+        kill -0 "$server_pid" 2>/dev/null || {
+            echo "server_smoke: server died at startup:" >&2
+            cat "$workdir/server.log" >&2
+            exit 1
+        }
+        sleep 0.1
+    done
+    [ -n "$port" ] || { echo "server_smoke: no listening line" >&2; exit 1; }
+}
 
-# The server prints "nf2d listening on 127.0.0.1:PORT ..." once bound.
-port=""
-for _ in $(seq 1 50); do
-    port=$(sed -n 's/^nf2d listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-        "$workdir/server.log")
-    [ -n "$port" ] && break
-    kill -0 "$server_pid" 2>/dev/null || {
-        echo "server_smoke: server died at startup:" >&2
-        cat "$workdir/server.log" >&2
+# expect_student S WHEN: the restarted server must serve student S.
+expect_student() {
+    out=$("$CLI" connect --port "$port" -e "select * from sc where Student = '$1'")
+    echo "$out" | grep -q "$1" || {
+        echo "server_smoke: $1 lost across $2:" >&2
+        echo "$out" >&2
         exit 1
     }
-    sleep 0.1
-done
-[ -n "$port" ] || { echo "server_smoke: no listening line" >&2; exit 1; }
+}
 
+start_server
 echo "server_smoke: serving on port $port"
 
 # One scripted session: DML + query; the reply must contain the
@@ -83,5 +97,31 @@ grep -q "nf2d drained; bye" "$workdir/server.log" || {
     echo "server_smoke: WAL file missing" >&2
     exit 1
 }
+
+# Graceful restart: the drain saved sc.snap, so the same command line
+# recovers the acknowledged insert from the directory, not the CSV.
+start_server
+expect_student s3 "a graceful restart"
+
+# Crash restart: an insert acknowledged before a SIGKILL survives it.
+"$CLI" connect --port "$port" -e "insert into sc values ('s4', 'c1')" >/dev/null
+kill -9 "$server_pid"
+wait "$server_pid" 2>/dev/null || true
+server_pid=""
+start_server
+expect_student s3 "a crash restart"
+expect_student s4 "a crash restart"
+
+# A write the restarted server acknowledges survives the next crash.
+"$CLI" connect --port "$port" -e "insert into sc values ('s5', 'c2')" >/dev/null
+kill -9 "$server_pid"
+wait "$server_pid" 2>/dev/null || true
+server_pid=""
+start_server
+expect_student s4 "a second crash restart"
+expect_student s5 "a second crash restart"
+"$CLI" connect --port "$port" --shutdown >/dev/null
+wait "$server_pid"
+server_pid=""
 
 echo "server_smoke: OK"

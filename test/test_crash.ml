@@ -1009,6 +1009,129 @@ let test_cross_table_acked_commit_survives () =
   Table.close rt;
   Table.close ru
 
+(* ------------------------------------------------------------------ *)
+(* The drain's save-then-checkpoint windows                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A served table's life in a WAL directory: start-up saves a base
+   snapshot and checkpoints, writes are acknowledged, and the drain
+   saves a snapshot and checkpoints again — with [fault] at [site]
+   killing the drain. A restart (strict [load_snapshot], as the server
+   runs it, and the salvage variant) must recover exactly the
+   acknowledged state: a crash once the new snapshot is in place but
+   before the WAL truncation skips the now-stale log instead of
+   applying it twice; a crash before the rename recovers the old
+   snapshot plus the whole log. Writes after the restart must survive
+   the next one. *)
+let drain_cell ~site ~fault ~stale () =
+  with_scratch (fun ~wal_path ~snap_path ->
+      let name = Printf.sprintf "%s/%s" site (pp_fault fault) in
+      let ops = Workload.Trace.mixed ~seed:(seed + 3) start ~ops:40 in
+      let table = Table.create ~wal_path ~order:order3 schema3 in
+      List.iter (apply_op table) (Workload.Trace.prefix ops 20);
+      Table.save_snapshot table snap_path;
+      Table.checkpoint table;
+      List.iteri (fun i op -> if i >= 20 then apply_op table op) ops;
+      let acked = flat table in
+      let synced = Failpoint.hits "snapshot.sync" in
+      Failpoint.arm site fault;
+      (match
+         Table.save_snapshot table snap_path;
+         Table.checkpoint table
+       with
+      | () -> Alcotest.failf "%s: the drain should have crashed" name
+      | exception Failpoint.Crashed _ -> ());
+      if stale then
+        Alcotest.(check int) (name ^ ": the snapshot was fsynced before the WAL reset")
+          (synced + 1) (Failpoint.hits "snapshot.sync");
+      Failpoint.reset ();
+      (try Table.close table with _ -> ());
+      let salvaged, report = Table.load_snapshot_salvage ~wal_path snap_path in
+      Alcotest.(check bool) (name ^ ": stale log skipped") stale report.Table.stale_wal;
+      Alcotest.(check int) (name ^ ": nothing skipped") 0 report.Table.skipped_ops;
+      Alcotest.check relation_testable (name ^ ": salvage recovers the acked state") acked
+        (flat salvaged);
+      Table.close salvaged;
+      let recovered = Table.load_snapshot ~wal_path snap_path in
+      Alcotest.(check bool) (name ^ ": cross-layer audit") true
+        (Table.check_invariants recovered);
+      Alcotest.check relation_testable (name ^ ": recovers the acked state") acked
+        (flat recovered);
+      let late = row schema3 [ "late"; "write"; "survives" ] in
+      ignore (Table.insert recovered late);
+      Table.close recovered;
+      let restarted = Table.load_snapshot ~wal_path snap_path in
+      Alcotest.(check bool) (name ^ ": a write after the restart survives the next") true
+        (Table.member restarted late);
+      Alcotest.(check bool) (name ^ ": audit after the second restart") true
+        (Table.check_invariants restarted);
+      Table.close restarted)
+
+(* The server's WAL directory across restarts. A power cut at the
+   manifest sync leaves a provisional commit in both table WALs that
+   the first restart rolls back. The next transaction reuses its txid
+   (allocation restarts above the manifest's largest), and its
+   manifest record must not vouch for the old group at the second
+   restart: the rolled-back rows stay absent from both tables. *)
+let test_wal_dir_restart_keeps_rollback () =
+  let dir = Filename.temp_file "nf2-dir" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let start () =
+    let db = Nfql.Physical.create () in
+    let fresh pairs ~wal_path =
+      Table.load ~wal_path ~synchronous:false ~order:order2
+        (List.fold_left
+           (fun facts p -> Relation.add facts (pair_tuple p))
+           (Relation.empty schema2) pairs)
+    in
+    let tables =
+      Nfql.Physical.open_wal_dir ~synchronous:false db ~dir
+        [ ("t", fresh xt_base_t); ("u", fresh xt_base_u) ]
+    in
+    (db, tables)
+  in
+  let stop (db, tables) =
+    List.iter (fun (_, table) -> try Table.close table with _ -> ()) tables;
+    Option.iter Manifest.close (Nfql.Physical.manifest db)
+  in
+  let state (_, tables) name = xt_state ~name (List.assoc name tables) in
+  Fun.protect
+    ~finally:(fun () ->
+      Failpoint.reset ();
+      Array.iter (fun file -> Sys.remove (Filename.concat dir file)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let first = start () in
+      let db, _ = first in
+      xt_commit db;
+      (* Table syncs are hits 1 and 2; the manifest's sync is hit 3. *)
+      Failpoint.arm ~after:2 "wal.sync.before" Failpoint.Lose_unsynced;
+      let crashed = try Nfql.Physical.sync_wal db; false with Failpoint.Crashed _ -> true in
+      Alcotest.(check bool) "power cut at the manifest sync" true crashed;
+      Failpoint.reset ();
+      stop first;
+      let second = start () in
+      Alcotest.(check bool) "the first restart rolls the commit back" true
+        (has_none (state second "t") xt_txn_t && has_none (state second "u") xt_txn_u);
+      let db, _ = second in
+      let later_t = [ ("tl1", "y1") ] and later_u = [ ("ul1", "y1") ] in
+      ignore
+        (Nfql.Physical.exec_string db
+           (Printf.sprintf "begin; %s; %s; commit" (xt_insert_stmt "t" later_t)
+              (xt_insert_stmt "u" later_u)));
+      Nfql.Physical.sync_wal db;
+      stop second;
+      let third = start () in
+      let st = state third "t" and su = state third "u" in
+      Alcotest.(check bool) "the acknowledged transaction survives" true
+        (has_all st later_t && has_all su later_u);
+      Alcotest.(check bool) "base rows intact" true
+        (has_all st xt_base_t && has_all su xt_base_u);
+      Alcotest.(check bool) "the rolled-back rows stay absent from both tables" true
+        (has_none st xt_txn_t && has_none su xt_txn_u);
+      stop third)
+
 let () =
   Alcotest.run "crash"
     [
@@ -1058,6 +1181,21 @@ let () =
             test_view_maintain_crash_autocommit;
           Alcotest.test_case "transaction maintenance crash window" `Quick
             test_view_maintain_crash_txn;
+        ] );
+      ( "drain",
+        [
+          Alcotest.test_case "crash before the WAL truncation" `Quick
+            (drain_cell ~site:"wal.reset" ~fault:Failpoint.Crash ~stale:true);
+          Alcotest.test_case "crash before the snapshot rename" `Quick
+            (drain_cell ~site:"snapshot.rename" ~fault:Failpoint.Crash ~stale:false);
+          Alcotest.test_case "torn snapshot body" `Quick
+            (drain_cell ~site:"snapshot.body" ~fault:(Failpoint.Short_write 7)
+               ~stale:false);
+          Alcotest.test_case "power cut before the snapshot fsync" `Quick
+            (drain_cell ~site:"snapshot.sync" ~fault:Failpoint.Lose_unsynced
+               ~stale:false);
+          Alcotest.test_case "restart never revives a rolled-back commit" `Quick
+            test_wal_dir_restart_keeps_rollback;
         ] );
       ( "sync",
         [

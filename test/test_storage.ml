@@ -849,6 +849,304 @@ let test_table_check_invariants () =
     (Table.check_invariants table)
 
 (* ------------------------------------------------------------------ *)
+(* One-pass recovery against a fact-by-fact reference                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A logged unit of work. A transaction's fate decides what recovery
+   must do with it: apply it (committed), drop it as user rollback
+   (aborted), or drop it as crash cost (torn: no commit record;
+   unacknowledged: a commit record the manifest never recorded). *)
+type fate = Committed | Aborted | Torn | Unacknowledged
+
+type logged =
+  | Auto of Wal.entry
+  | Txn of { txid : int; ops : Wal.entry list; fate : fate }
+
+let entries_of = function
+  | Auto entry -> [ entry ]
+  | Txn { txid; ops; fate } ->
+    let op = function
+      | Wal.Insert tuple -> Wal.Txn_insert (txid, tuple)
+      | Wal.Delete tuple -> Wal.Txn_delete (txid, tuple)
+      | entry -> entry
+    in
+    let close =
+      match fate with
+      | Committed | Unacknowledged -> [ Wal.Txn_commit txid ]
+      | Aborted -> [ Wal.Txn_abort txid ]
+      | Torn -> []
+    in
+    (Wal.Txn_begin txid :: List.map op ops) @ close
+
+let durable_in log txid =
+  not
+    (List.exists
+       (function Txn { txid = id; fate = Unacknowledged; _ } -> id = txid | _ -> false)
+       log)
+
+(* A random log over [base]. With [clean], every delete a committed
+   unit makes names a tuple present at that point of the replay, so the
+   strict recoveries must succeed; otherwise deletes pick any tuple and
+   some name absent ones. *)
+let gen_log ~clean base state =
+  let schema = Relation.schema base in
+  let live = ref base in
+  let random_row () = row schema (gen_row ~degree:3 ~dom:3 state) in
+  let gen_op facts =
+    let present = Relation.tuples facts in
+    if QCheck.Gen.bool state || (clean && present = []) then Wal.Insert (random_row ())
+    else if clean then
+      Wal.Delete (List.nth present (QCheck.Gen.int_bound (List.length present - 1) state))
+    else Wal.Delete (random_row ())
+  in
+  let step facts = function
+    | Wal.Insert tuple -> Relation.add facts tuple
+    | Wal.Delete tuple -> Relation.remove facts tuple
+    | _ -> facts
+  in
+  List.init (QCheck.Gen.int_bound 12 state) (fun i ->
+      if QCheck.Gen.int_bound 2 state = 0 then begin
+        let op = gen_op !live in
+        live := step !live op;
+        Auto op
+      end
+      else begin
+        let fate =
+          match QCheck.Gen.int_bound 5 state with
+          | 0 -> Aborted
+          | 1 -> Torn
+          | 2 -> Unacknowledged
+          | _ -> Committed
+        in
+        let facts = ref !live in
+        let ops =
+          List.init (QCheck.Gen.int_bound 4 state) (fun _ ->
+              let op = gen_op !facts in
+              facts := step !facts op;
+              op)
+        in
+        if fate = Committed then live := !facts;
+        Txn { txid = i + 1; ops; fate }
+      end)
+
+let arbitrary_recovery_case =
+  let gen state =
+    let base = gen_relation ~degree:3 ~dom:3 ~max_rows:12 state in
+    let order = gen_order (Relation.schema base) state in
+    let clean = QCheck.Gen.bool state in
+    (base, order, gen_log ~clean base state)
+  in
+  QCheck.make
+    ~print:(fun (base, order, log) ->
+      Format.asprintf "%a@.order: %s@.log: %s" Relation.pp base
+        (String.concat " " (List.map Attribute.name order))
+        (String.concat "; "
+           (List.map
+              (fun entry -> Format.asprintf "%S" (Wal.encode_entry entry))
+              (List.concat_map entries_of log))))
+    gen
+
+(* What recovery must produce, computed the way it was before it became
+   one canonical pass: every base fact, then every committed entry, fed
+   one at a time through the Sec. 4 update algorithms. [Error ()] when a
+   strict recovery must fail (a committed delete of an absent tuple). *)
+type expected = {
+  snapshot : Nfr.t;
+  commit_seq : int;
+  applied : int;
+  skipped : int;
+  discarded_ops : int;
+  crash_discards : (int * int) list;
+}
+
+exception Reference_corrupt
+
+let reference ~strict ~order base log =
+  let store = Update.Store.create ~order (Relation.schema base) in
+  Relation.iter (fun tuple -> ignore (Update.Store.insert store tuple)) base;
+  let applied = ref 0 and skipped = ref 0 and commits = ref 0 in
+  let apply = function
+    | Wal.Insert tuple ->
+      ignore (Update.Store.insert store tuple);
+      incr applied
+    | Wal.Delete tuple -> (
+      match Update.Store.delete store tuple with
+      | () -> incr applied
+      | exception Update.Not_in_relation ->
+        if strict then raise Reference_corrupt;
+        incr skipped)
+    | _ -> assert false
+  in
+  let discarded fates =
+    List.filter_map
+      (function
+        | Txn { txid; ops; fate } when List.mem fate fates -> Some (txid, List.length ops)
+        | _ -> None)
+      log
+  in
+  match
+    List.iter
+      (function
+        | Auto entry ->
+          apply entry;
+          incr commits
+        | Txn { ops; fate = Committed; _ } ->
+          List.iter apply ops;
+          incr commits
+        | Txn _ -> ())
+      log
+  with
+  | exception Reference_corrupt -> Error ()
+  | () ->
+    Ok
+      {
+        snapshot = Update.Store.snapshot store;
+        commit_seq = (if Relation.is_empty base then 0 else 1) + !commits;
+        applied = !applied;
+        skipped = !skipped;
+        discarded_ops =
+          List.fold_left
+            (fun sum (_, ops) -> sum + ops)
+            0
+            (discarded [ Aborted; Torn; Unacknowledged ]);
+        (* Manifest-missing commits are found at their commit record,
+           torn transactions once the log has ended. *)
+        crash_discards = discarded [ Unacknowledged ] @ discarded [ Torn ];
+      }
+
+let with_recovery_files f =
+  let wal_path = Filename.temp_file "nf2-onepass" ".wal" in
+  let snap_path = Filename.temp_file "nf2-onepass" ".snap" in
+  Sys.remove wal_path;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ wal_path; snap_path; snap_path ^ ".tmp" ])
+    (fun () -> f ~wal_path ~snap_path)
+
+let write_log wal_path entries =
+  let wal = Wal.open_log wal_path in
+  List.iter (Wal.append wal) entries;
+  Wal.close wal
+
+(* All four recoveries against the reference: the same snapshot and
+   commit sequence, one live record per canonical tuple and none dead,
+   and — for the salvage variants — the same report counts. A strict
+   recovery must raise [Corrupt] exactly when the reference does. *)
+let prop_one_pass_recovery (base, order, log) =
+  with_recovery_files @@ fun ~wal_path ~snap_path ->
+  Table.save_snapshot (Table.load ~order base) snap_path;
+  write_log wal_path (List.concat_map entries_of log);
+  let durable = durable_in log and empty = Relation.empty (Relation.schema base) in
+  let check_table variant expected t =
+    let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) variant in
+    if not (Nfr.equal expected.snapshot (Table.snapshot t)) then
+      fail "snapshot %a, reference %a" Nfr.pp (Table.snapshot t) Nfr.pp expected.snapshot;
+    if Table.commit_seq t <> expected.commit_seq then
+      fail "commit_seq %d, reference %d" (Table.commit_seq t) expected.commit_seq;
+    if Table.dead_records t <> 0 then fail "%d dead records" (Table.dead_records t);
+    if Table.live_records t <> Table.cardinality t then
+      fail "%d live records for %d tuples" (Table.live_records t) (Table.cardinality t);
+    if not (Table.check_invariants t) then fail "invariants broken";
+    Table.close t
+  in
+  let strict variant base recover =
+    let recovered =
+      match recover () with
+      | t -> Some t
+      | exception Storage_error.Error (Storage_error.Corrupt _) -> None
+    in
+    match reference ~strict:true ~order base log, recovered with
+    | Ok expected, Some t -> check_table variant expected t
+    | Error (), None -> ()
+    | Ok _, None -> QCheck.Test.fail_reportf "%s: raised Corrupt on a clean log" variant
+    | Error (), Some t ->
+      Table.close t;
+      QCheck.Test.fail_reportf "%s: a committed delete of an absent tuple went unreported"
+        variant
+  in
+  let salvage variant base (t, report) =
+    let expected = Result.get_ok (reference ~strict:false ~order base log) in
+    let counts =
+      ( report.Table.applied,
+        report.Table.skipped_ops,
+        report.Table.discarded_txn_ops,
+        report.Table.discarded_txns )
+    in
+    if counts <> (expected.applied, expected.skipped, expected.discarded_ops, expected.crash_discards)
+    then QCheck.Test.fail_reportf "%s: report counts differ from the reference" variant;
+    check_table variant expected t
+  in
+  strict "load_snapshot" base (fun () -> Table.load_snapshot ~wal_path ~durable snap_path);
+  strict "recover" empty (fun () ->
+      Table.recover ~wal_path ~durable ~order (Relation.schema base));
+  salvage "load_snapshot_salvage" base
+    (Table.load_snapshot_salvage ~wal_path ~durable snap_path);
+  salvage "recover_salvage" empty
+    (Table.recover_salvage ~wal_path ~durable ~order (Relation.schema base));
+  true
+
+(* A committed delete of an absent tuple: its insert was lost, so the
+   strict recoveries refuse the log and the salvage ones skip the entry,
+   count it and degrade. *)
+let test_absent_delete_recovery () =
+  with_recovery_files @@ fun ~wal_path ~snap_path ->
+  Table.save_snapshot (Table.load ~order:ab_order (rel schema2 [ [ "a0"; "b0" ] ])) snap_path;
+  write_log wal_path
+    [
+      Wal.Insert (row schema2 [ "a1"; "b1" ]);
+      Wal.Delete (row schema2 [ "a2"; "b2" ]);
+      Wal.Insert (row schema2 [ "a3"; "b3" ]);
+    ];
+  let raises_corrupt recover =
+    match recover () with
+    | t ->
+      Table.close t;
+      false
+    | exception Storage_error.Error (Storage_error.Corrupt _) -> true
+  in
+  Alcotest.(check bool) "recover raises Corrupt" true
+    (raises_corrupt (fun () -> Table.recover ~wal_path ~order:ab_order schema2));
+  Alcotest.(check bool) "load_snapshot raises Corrupt" true
+    (raises_corrupt (fun () -> Table.load_snapshot ~wal_path snap_path));
+  let check_salvaged variant facts (t, report) =
+    Alcotest.(check int) (variant ^ ": applied") 2 report.Table.applied;
+    Alcotest.(check int) (variant ^ ": skipped") 1 report.Table.skipped_ops;
+    Alcotest.(check bool) (variant ^ ": degraded") true (Table.health t <> Table.Healthy);
+    Alcotest.(check int) (variant ^ ": facts") facts (Table.fact_count t);
+    Alcotest.(check bool) (variant ^ ": invariants") true (Table.check_invariants t);
+    Table.close t
+  in
+  check_salvaged "recover_salvage" 2
+    (Table.recover_salvage ~wal_path ~order:ab_order schema2);
+  check_salvaged "load_snapshot_salvage" 3 (Table.load_snapshot_salvage ~wal_path snap_path)
+
+(* Each recovery reads and CRC-checks the table's log once, and opens
+   it for appending from that one scan. *)
+let test_recovery_scans_wal_once () =
+  with_recovery_files @@ fun ~wal_path ~snap_path ->
+  Table.save_snapshot (Table.load ~order:ab_order (rel schema2 [ [ "a0"; "b0" ] ])) snap_path;
+  write_log wal_path
+    [ Wal.Insert (row schema2 [ "a1"; "b1" ]); Wal.Insert (row schema2 [ "a1"; "b2" ]) ];
+  let scans ~facts recover =
+    let before = Obs.Registry.get Obs.Registry.global "wal.replay_total" in
+    let t = recover () in
+    Alcotest.(check int) "recovered facts" facts (Table.fact_count t);
+    Table.close t;
+    Obs.Registry.get Obs.Registry.global "wal.replay_total" - before
+  in
+  Alcotest.(check int) "load_snapshot" 1
+    (scans ~facts:3 (fun () -> Table.load_snapshot ~wal_path snap_path));
+  Alcotest.(check int) "load_snapshot_salvage" 1
+    (scans ~facts:3 (fun () -> fst (Table.load_snapshot_salvage ~wal_path snap_path)));
+  Alcotest.(check int) "recover" 1
+    (scans ~facts:2 (fun () -> Table.recover ~wal_path ~order:ab_order schema2));
+  Alcotest.(check int) "recover_salvage" 1
+    (scans ~facts:2 (fun () ->
+         fst (Table.recover_salvage ~wal_path ~order:ab_order schema2)))
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1081,6 +1379,10 @@ let () =
             test_snapshot_fault_injection;
           Alcotest.test_case "cross-layer audit" `Quick
             test_table_check_invariants;
+          Alcotest.test_case "absent delete: strict raises, salvage counts" `Quick
+            test_absent_delete_recovery;
+          Alcotest.test_case "recovery scans each WAL once" `Quick
+            test_recovery_scans_wal_once;
         ] );
       ( "properties",
         [
@@ -1099,5 +1401,7 @@ let () =
           qtest ~count:60 "index completeness"
             (arbitrary_relation_with_order ())
             prop_store_preserves_answers;
+          qtest ~count:200 "one-pass recovery = fact-by-fact replay"
+            arbitrary_recovery_case prop_one_pass_recovery;
         ] );
     ]
